@@ -1,24 +1,24 @@
 // Compiled SVM inference plan: single-query and batched prediction
-// throughput, compiled vs legacy, f32 vs f64 pools, SIMD vs scalar.
+// throughput, compiled vs legacy, SIMD vs scalar.
 //
 // The paper's deployment story pushes every unidentified job through a
 // 20-class one-vs-one SVM (190 machines, rbf γ=0.1, C=1000).  The
 // legacy path evaluates K(x, sv) machine by machine, re-touching every
 // duplicated support vector; the compiled plan (DESIGN.md §12) fuses
-// all machines into one deduplicated SV pool, computes a single kernel
-// row per query through the SIMD microkernels, and reduces each
-// machine as a sparse coef-dot.  This bench trains the Table-2 model,
-// verifies the two paths agree (labels identical, f64 decision values
-// within 1e-10), reports the pool's dedup ratio, and times six arms:
+// all machines into one deduplicated, class-blocked SV pool and runs
+// one register-tiled kernel: kernel rows for up to four queries, then
+// dense class-block coefficient sums.  This bench trains the Table-2
+// model, gates on correctness — labels identical to legacy, f64
+// decision values within 1e-10, batch == single bit for bit, dedup
+// > 2× — and times five arms:
 //
 //   legacy_single / legacy_batch      — old path (native ISA)
 //   legacy_single_scalar              — old path, XDMODML_SIMD=scalar
 //   compiled_single / compiled_batch  — plan path (native ISA)
-//   compiled_batch_f32                — plan path, float32 pool
 //   compiled_batch_scalar             — plan path, scalar microkernels
 //
-// Acceptance gate (ISSUE 10): compiled+SIMD batched predict_proba must
-// run ≥ 3× the legacy-scalar throughput, and the pool must dedup > 2×.
+// A failed gate prints ERROR, skips the timings and exits 1.  Compiled+SIMD
+// batched predict_proba should run ≥ 3× the legacy-scalar throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -99,20 +99,31 @@ bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
     return false;
   }
 
-  // Per-machine decision values on a probe sample: the compiled sparse
-  // coef-dot over the shared kernel row must match the legacy
-  // machine-by-machine evaluation to 1e-10 (f64 pool).
+  // A batch must reproduce single queries bit for bit.
+  const auto batch = svm.predict_batch_with_probability(probes);
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    const auto single = svm.predict_with_probability(probes.row(r));
+    if (single.label != batch[r].label ||
+        single.probability != batch[r].probability) {
+      std::printf("ERROR: batch differs from single query on probe %zu\n",
+                  r);
+      return false;
+    }
+  }
+
+  // Per-machine decision values on a probe sample: the class-block
+  // coefficient sums must match the legacy machine-by-machine
+  // evaluation to 1e-10.
   const auto& plan = svm.inference_plan();
-  std::vector<double> krow(plan.unique_support_vectors());
+  ml::SvmInferencePlan::Scratch scratch;
+  std::vector<double> dec(plan.num_machines());
   double max_diff = 0.0;
   const std::size_t sample = probes.rows() < 32 ? probes.rows() : 32;
   for (std::size_t r = 0; r < sample; ++r) {
     const auto x = probes.row(r);
-    plan.kernel_row(x, krow);
+    plan.decision_values(x.data(), 1, scratch, dec.data());
     for (std::size_t m = 0; m < plan.num_machines(); ++m) {
-      const double diff =
-          std::abs(plan.decision_value(m, krow) -
-                   svm.machine(m).decision_value(x));
+      const double diff = std::abs(dec[m] - svm.machine(m).decision_value(x));
       if (diff > max_diff) max_diff = diff;
     }
   }
@@ -126,7 +137,7 @@ bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
   return true;
 }
 
-void run_experiment() {
+bool run_experiment() {
   const auto model = build_model(601, scaled(30), scaled(500));
   const auto& svm = model.svm;
   const auto& probes = model.probes;
@@ -141,7 +152,7 @@ void run_experiment() {
               std::string(simd::isa_name(best_isa)).c_str());
 
   const auto& plan = svm.inference_plan();
-  std::printf("plan: %zu/%zu unique SVs, dedup %.2fx, %zu KiB f64 pool, "
+  std::printf("plan: %zu/%zu unique SVs, dedup %.2fx, %zu KiB pool, "
               "provenance=%s\n\n",
               plan.unique_support_vectors(), plan.total_support_vectors(),
               plan.dedup_ratio(), plan.pool_bytes() / 1024,
@@ -149,40 +160,25 @@ void run_experiment() {
   if (plan.dedup_ratio() <= 2.0) {
     std::printf("ERROR: dedup ratio %.2fx below the 2x acceptance gate\n",
                 plan.dedup_ratio());
-    return;
+    return false;
   }
-  if (!verify_paths(svm, probes)) return;
-
-  // f32 arm rides a copy so the f64 plan above stays live for the
-  // other arms; labels must not change under quantization.
-  ml::SvmClassifier svm32 = svm;
-  svm32.set_plan_precision(ml::GramPrecision::kFloat32);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
-  if (svm32.predict_batch(probes) != svm.predict_batch(probes)) {
-    std::printf("ERROR: f32 pool changes predicted labels\n");
-    return;
-  }
+  if (!verify_paths(svm, probes)) return false;
 
   struct Arm {
     const char* op;
     ml::SvmPredictMode mode;
     simd::Isa isa;
-    const ml::SvmClassifier* clf;
     bool batch;
   };
   const Arm arms[] = {
-      {"legacy_single", ml::SvmPredictMode::kLegacy, best_isa, &svm, false},
+      {"legacy_single", ml::SvmPredictMode::kLegacy, best_isa, false},
       {"legacy_single_scalar", ml::SvmPredictMode::kLegacy,
-       simd::Isa::kScalar, &svm, false},
-      {"legacy_batch", ml::SvmPredictMode::kLegacy, best_isa, &svm, true},
-      {"compiled_single", ml::SvmPredictMode::kCompiled, best_isa, &svm,
-       false},
-      {"compiled_batch", ml::SvmPredictMode::kCompiled, best_isa, &svm,
-       true},
-      {"compiled_batch_f32", ml::SvmPredictMode::kCompiled, best_isa,
-       &svm32, true},
+       simd::Isa::kScalar, false},
+      {"legacy_batch", ml::SvmPredictMode::kLegacy, best_isa, true},
+      {"compiled_single", ml::SvmPredictMode::kCompiled, best_isa, false},
+      {"compiled_batch", ml::SvmPredictMode::kCompiled, best_isa, true},
       {"compiled_batch_scalar", ml::SvmPredictMode::kCompiled,
-       simd::Isa::kScalar, &svm, true},
+       simd::Isa::kScalar, true},
   };
 
   TextTable table({"arm", "ms (median)", "probes/sec"});
@@ -193,8 +189,8 @@ void run_experiment() {
     simd::set_active(arm.isa);
     const auto t = time_median_ms(
         [&] {
-          benchmark::DoNotOptimize(arm.batch ? sweep_batch(*arm.clf, probes)
-                                             : sweep_single(*arm.clf, probes));
+          benchmark::DoNotOptimize(arm.batch ? sweep_batch(svm, probes)
+                                             : sweep_single(svm, probes));
         },
         /*repeats=*/3);
     simd::set_active(best_isa);
@@ -216,6 +212,7 @@ void run_experiment() {
   std::printf("\ncompiled+SIMD batch vs legacy scalar: %.2fx "
               "(gate: >= 3x)%s\n",
               speedup, speedup >= 3.0 ? "" : "  *** BELOW GATE ***");
+  return true;
 }
 
 void bm_legacy_single(benchmark::State& state) {
@@ -245,7 +242,7 @@ BENCHMARK(bm_compiled_batch)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   xdmodml::bench::BenchJsonRecorder::instance().parse_args(argc, argv);
-  run_experiment();
+  if (!run_experiment()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,6 +1,7 @@
 #include "core/classification_service.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -30,6 +31,8 @@ struct ServiceMetrics {
       "service.ingest_batch_ns", "ns");
   obs::Counter& failed =
       obs::MetricsRegistry::instance().counter("service.failed");
+  obs::Counter& invalid_output =
+      obs::MetricsRegistry::instance().counter("service.invalid_output");
   obs::Counter& classify_failures =
       obs::MetricsRegistry::instance().counter("fail.service.classify");
   obs::Counter& timeouts =
@@ -73,27 +76,9 @@ ClassificationService::IngestResult ClassificationService::classify(
   using Clock = std::chrono::steady_clock;
   const auto start = limits_.classify_timeout_ms > 0 ? Clock::now()
                                                      : Clock::time_point{};
-  IngestResult result;
-  try {
-    // `service.classify` is the catch-all request fault: an error policy
-    // models a classifier crash, a delay policy a slow model (which the
-    // deadline check below then turns into a structured timeout).
-    XDMODML_FAILPOINT("service.classify");
-    if (job.label_source == supremm::LabelSource::kIdentified) {
-      result.outcome = Outcome::kIdentified;
-    } else {
-      result.prediction = classifier_->predict(job);
-      result.outcome = result.prediction.probability >= threshold_
-                           ? Outcome::kAttributed
-                           : Outcome::kUnresolved;
-    }
-  } catch (const std::exception& e) {
-    result.outcome = Outcome::kFailed;
-    result.error = std::string("classify failed: ") + e.what();
-    metrics.classify_failures.inc();
-    return result;
-  }
-  if (limits_.classify_timeout_ms > 0) {
+  auto triaged = triage(job);
+  IngestResult result = triaged ? std::move(*triaged) : predict_one(job);
+  if (limits_.classify_timeout_ms > 0 && result.outcome != Outcome::kFailed) {
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         Clock::now() - start);
     if (elapsed.count() >= 0 &&
@@ -110,6 +95,99 @@ ClassificationService::IngestResult ClassificationService::classify(
     }
   }
   return result;
+}
+
+namespace {
+
+ClassificationService::IngestResult classify_failure(const std::exception& e) {
+  ClassificationService::IngestResult result;
+  result.outcome = ClassificationService::Outcome::kFailed;
+  result.error = std::string("classify failed: ") + e.what();
+  ServiceMetrics::get().classify_failures.inc();
+  return result;
+}
+
+}  // namespace
+
+std::optional<ClassificationService::IngestResult>
+ClassificationService::triage(const supremm::JobSummary& job) const {
+  try {
+    // `service.classify` is the catch-all request fault: an error policy
+    // models a classifier crash, a delay policy a slow model (which the
+    // deadline check then turns into a structured timeout).
+    XDMODML_FAILPOINT("service.classify");
+  } catch (const std::exception& e) {
+    return classify_failure(e);
+  }
+  if (job.label_source != supremm::LabelSource::kIdentified) {
+    return std::nullopt;
+  }
+  IngestResult result;
+  result.outcome = Outcome::kIdentified;
+  return result;
+}
+
+ClassificationService::IngestResult ClassificationService::predict_one(
+    const supremm::JobSummary& job) const {
+  try {
+    return decide(classifier_->predict(job));
+  } catch (const std::exception& e) {
+    return classify_failure(e);
+  }
+}
+
+ClassificationService::IngestResult ClassificationService::decide(
+    LabeledPrediction prediction) const {
+  IngestResult result;
+  const double p = prediction.probability;
+  const int classes = static_cast<int>(classifier_->class_names().size());
+  if (!std::isfinite(p) || p < 0.0 || p > 1.0 || prediction.label < 0 ||
+      prediction.label >= classes) {
+    result.outcome = Outcome::kFailed;
+    result.error = "invalid model output: label " +
+                   std::to_string(prediction.label) + ", probability " +
+                   std::to_string(p);
+    ServiceMetrics::get().invalid_output.inc();
+  } else {
+    result.outcome = p >= threshold_ ? Outcome::kAttributed
+                                     : Outcome::kUnresolved;
+  }
+  result.prediction = std::move(prediction);
+  return result;
+}
+
+void ClassificationService::classify_batch(
+    const std::vector<supremm::JobSummary>& jobs,
+    std::vector<IngestResult>& results) const {
+  const auto& schema = classifier_->schema();
+  std::vector<std::size_t> pending;
+  Matrix features(0, schema.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (auto triaged = triage(jobs[i])) {
+      results[i] = std::move(*triaged);
+      continue;
+    }
+    try {
+      features.append_row(jobs[i].extract(schema));
+      pending.push_back(i);
+    } catch (const std::exception& e) {
+      results[i] = classify_failure(e);
+    }
+  }
+  if (pending.empty()) return;
+  std::vector<LabeledPrediction> predictions;
+  try {
+    predictions = classifier_->predict_features_batch(std::move(features));
+  } catch (const std::exception&) {
+    auto& metrics = ServiceMetrics::get();
+    metrics.batch_failures.inc();
+    metrics.batch_serial_retries.inc();
+    for (const auto i : pending) results[i] = predict_one(jobs[i]);
+    return;
+  }
+  for (std::size_t p = 0; p < pending.size(); ++p) {
+    results[pending[p]] = decide(std::move(predictions[p]));
+  }
 }
 
 void ClassificationService::commit(supremm::JobSummary job,
@@ -186,20 +264,26 @@ ClassificationService::ingest_batch(std::vector<supremm::JobSummary> jobs) {
   auto& metrics = ServiceMetrics::get();
   obs::ScopedTimer span(metrics.batch_ns, "service.ingest_batch");
   std::vector<IngestResult> results(jobs.size());
-  // Phase 1: classify every job in parallel — the classifier is
-  // immutable, so this needs no lock and dominates the ingest cost.
-  try {
-    ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t i) {
-      results[i] = classify(jobs[i]);
-    });
-  } catch (const fp::FailpointError&) {
-    // Pool-infrastructure fault (`thread_pool.chunk`): classify is pure
-    // and deterministic, so rerunning the whole batch serially yields
-    // the exact results the parallel pass would have produced.
-    metrics.batch_failures.inc();
-    metrics.batch_serial_retries.inc();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = classify(jobs[i]);
+  // Phase 1: classify — no lock needed (the classifier is immutable),
+  // and this step dominates the ingest cost.
+  if (limits_.classify_timeout_ms == 0) {
+    classify_batch(jobs, results);
+  } else {
+    // Deadlines are per request: keep the per-job classify path, in
+    // parallel on the pool.
+    try {
+      ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t i) {
+        results[i] = classify(jobs[i]);
+      });
+    } catch (const fp::FailpointError&) {
+      // Pool-infrastructure fault (`thread_pool.chunk`): classify is
+      // pure and deterministic, so rerunning the whole batch serially
+      // yields the exact results the parallel pass would have produced.
+      metrics.batch_failures.inc();
+      metrics.batch_serial_retries.inc();
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        results[i] = classify(jobs[i]);
+      }
     }
   }
   // Phase 2: apply the state updates in job order so the warehouse and

@@ -27,12 +27,18 @@
 // set and the job dead-lettered in the warehouse; a thread-pool fault
 // during batch classification falls back to a serial pass.  Every such
 // recovery is counted under fail.* / retry.* in the metrics registry.
+//
+// Output contract: a model answer is never attributed unless its
+// probability is finite and in [0, 1] and its label names a class.
+// Anything else (a corrupt model file can serve p = 1.5e17) becomes
+// Outcome::kFailed and ticks `service.invalid_output`.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +54,10 @@ class ClassificationService {
   /// classification is never preempted, but a request whose classify
   /// step overruns the deadline comes back as Outcome::kFailed (and is
   /// dead-lettered, not stored) instead of being silently slow.  0
-  /// disables the check.
+  /// disables the check.  A service with a deadline classifies each job
+  /// of an `ingest_batch` on its own (per-job `classify()` on the pool)
+  /// instead of through the batched model call, so the deadline keeps
+  /// its per-request meaning.
   struct Limits {
     std::uint64_t classify_timeout_ms = 0;
   };
@@ -84,11 +93,15 @@ class ClassificationService {
   /// lock; the state update inside it).
   IngestResult ingest(supremm::JobSummary job);
 
-  /// Batched ingest: classifies the jobs in parallel on the shared
-  /// thread pool, then applies the state updates in job order, so the
-  /// results (and the warehouse contents) match a serial `ingest` loop
-  /// exactly while the expensive classification step uses every core.
-  /// `results[i]` corresponds to `jobs[i]`.
+  /// Batched ingest: extracts the non-identified jobs' features into one
+  /// matrix and classifies them with ONE batched model call
+  /// (JobClassifier::predict_features_batch, which fans out on the
+  /// shared thread pool), then applies the state updates in job order,
+  /// so the results (and the warehouse contents) match a serial `ingest`
+  /// loop exactly.  With `Limits::classify_timeout_ms > 0` the deadline
+  /// is per request, so each job keeps the per-job classify path and
+  /// deadline semantics match `ingest`.  `results[i]` corresponds to
+  /// `jobs[i]`.
   std::vector<IngestResult> ingest_batch(
       std::vector<supremm::JobSummary> jobs);
 
@@ -148,6 +161,24 @@ class ClassificationService {
   /// `service.classify` fault) becomes a kFailed result, and an overrun
   /// classify deadline is downgraded to kFailed after the fact.
   IngestResult classify(const supremm::JobSummary& job) const;
+
+  /// The model-free front of classify: the `service.classify` fault
+  /// site and the Lariat pass-through.  The final result, or nullopt
+  /// when the job needs the model.
+  std::optional<IngestResult> triage(const supremm::JobSummary& job) const;
+
+  /// Model step for one job; a throw becomes kFailed.
+  IngestResult predict_one(const supremm::JobSummary& job) const;
+
+  /// Applies the output contract, then the threshold.
+  IngestResult decide(LabeledPrediction prediction) const;
+
+  /// ingest_batch's classify step without a deadline: triage per job,
+  /// one batched model call over the rest.  A throw from that call (a
+  /// `thread_pool.chunk` fault, say) reruns the model jobs one by one,
+  /// which yields the same bits because single == batch.
+  void classify_batch(const std::vector<supremm::JobSummary>& jobs,
+                      std::vector<IngestResult>& results) const;
 
   /// Applies one classified result under `mutex_` and stores the job.
   /// A warehouse reject downgrades `result` to kFailed and dead-letters

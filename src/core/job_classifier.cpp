@@ -63,9 +63,7 @@ std::string JobClassifier::model_info() const {
       ratio << std::fixed << plan->dedup_ratio();
       out << ", plan " << plan->unique_support_vectors() << "/"
           << plan->total_support_vectors() << " SVs (dedup " << ratio.str()
-          << "x, " << plan->pool_bytes() / 1024 << " KiB f"
-          << (plan->precision() == ml::GramPrecision::kFloat32 ? 32 : 64)
-          << ")";
+          << "x, " << plan->pool_bytes() / 1024 << " KiB)";
     }
   }
   return out.str();
@@ -81,11 +79,31 @@ LabeledPrediction JobClassifier::predict_features(
   XDMODML_CHECK(trained(), "predict before train");
   std::vector<double> row(features.begin(), features.end());
   standardizer_.transform_row(row);
-  const auto pred = model_->predict_with_probability(row);
+  return labeled(model_->predict_with_probability(row));
+}
+
+std::vector<LabeledPrediction> JobClassifier::predict_features_batch(
+    Matrix features) const {
+  XDMODML_CHECK(trained(), "predict before train");
+  for (std::size_t r = 0; r < features.rows(); ++r) {
+    standardizer_.transform_row(features.row(r));
+  }
+  std::vector<LabeledPrediction> out;
+  out.reserve(features.rows());
+  for (const auto& pred : model_->predict_batch_with_probability(features)) {
+    out.push_back(labeled(pred));
+  }
+  return out;
+}
+
+LabeledPrediction JobClassifier::labeled(const ml::Prediction& pred) const {
   LabeledPrediction out;
   out.label = pred.label;
   out.probability = pred.probability;
-  out.class_name = class_names_[static_cast<std::size_t>(pred.label)];
+  if (pred.label >= 0 &&
+      static_cast<std::size_t>(pred.label) < class_names_.size()) {
+    out.class_name = class_names_[static_cast<std::size_t>(pred.label)];
+  }
   return out;
 }
 

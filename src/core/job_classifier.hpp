@@ -70,8 +70,16 @@ class JobClassifier {
   /// Predicts one job summary.
   LabeledPrediction predict(const supremm::JobSummary& job) const;
 
-  /// Predicts a raw (unstandardized) feature row under the schema.
+  /// Predicts a raw (unstandardized) feature row under the schema.  A
+  /// label outside the class list (a corrupt model) comes back with an
+  /// empty class_name rather than indexing past the list.
   LabeledPrediction predict_features(std::span<const double> features) const;
+
+  /// Batched predict_features: one raw feature row per job, standardized
+  /// in place and predicted by ONE predict_batch_with_probability call.
+  /// Row i's result equals predict_features(row i) bit for bit.
+  std::vector<LabeledPrediction> predict_features_batch(
+      Matrix features) const;
 
   /// Batch prediction over a feature-compatible dataset.
   std::vector<ml::Prediction> predict_dataset(const ml::Dataset& ds) const;
@@ -105,6 +113,8 @@ class JobClassifier {
   static JobClassifier load(std::istream& in);
 
  private:
+  LabeledPrediction labeled(const ml::Prediction& prediction) const;
+
   JobClassifierConfig config_;
   ml::Standardizer standardizer_;
   std::unique_ptr<ml::Classifier> model_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -119,32 +120,41 @@ PlattSigmoid fit_platt_sigmoid(std::span<const double> decision_values,
   return PlattSigmoid{a, b};
 }
 
-std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise) {
-  const std::size_t k = pairwise.rows();
-  XDMODML_CHECK(k > 0 && pairwise.cols() == k,
-                "pairwise matrix must be square");
-  if (k == 1) return {1.0};
+void couple_pairwise_probabilities(std::span<const double> pairwise,
+                                   std::size_t k, CouplingScratch& scratch,
+                                   std::span<double> p) {
+  XDMODML_CHECK(k > 0 && pairwise.size() == k * k && p.size() == k,
+                "pairwise matrix must be k x k");
+  if (k == 1) {
+    p[0] = 1.0;
+    return;
+  }
+  const auto r = [&](std::size_t i, std::size_t j) {
+    return pairwise[i * k + j];
+  };
 
   // LIBSVM multiclass_probability (Wu–Lin–Weng method 2).
   // r(i, j) = P(i | i or j); r(j, i) = 1 - r(i, j).
-  Matrix q(k, k, 0.0);
+  auto& q = scratch.q;
+  auto& qp = scratch.qp;
+  q.assign(k * k, 0.0);
+  qp.assign(k, 0.0);
   for (std::size_t t = 0; t < k; ++t) {
     for (std::size_t j = 0; j < k; ++j) {
       if (j == t) continue;
-      q(t, t) += pairwise(j, t) * pairwise(j, t);
-      q(t, j) = -pairwise(j, t) * pairwise(t, j);
+      q[t * k + t] += r(j, t) * r(j, t);
+      q[t * k + j] = -r(j, t) * r(t, j);
     }
   }
 
-  std::vector<double> p(k, 1.0 / static_cast<double>(k));
-  std::vector<double> qp(k, 0.0);
+  std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(k));
   const std::size_t max_iter = std::max<std::size_t>(100, k);
   constexpr double kEps = 0.005 / 100.0;
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
     double pqp = 0.0;
     for (std::size_t t = 0; t < k; ++t) {
       qp[t] = 0.0;
-      for (std::size_t j = 0; j < k; ++j) qp[t] += q(t, j) * p[j];
+      for (std::size_t j = 0; j < k; ++j) qp[t] += q[t * k + j] * p[j];
       pqp += p[t] * qp[t];
     }
     double max_error = 0.0;
@@ -153,12 +163,12 @@ std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise) {
     }
     if (max_error < kEps) break;
     for (std::size_t t = 0; t < k; ++t) {
-      const double diff = (-qp[t] + pqp) / q(t, t);
+      const double diff = (-qp[t] + pqp) / q[t * k + t];
       p[t] += diff;
-      pqp = (pqp + diff * (diff * q(t, t) + 2.0 * qp[t])) /
+      pqp = (pqp + diff * (diff * q[t * k + t] + 2.0 * qp[t])) /
             ((1.0 + diff) * (1.0 + diff));
       for (std::size_t j = 0; j < k; ++j) {
-        qp[j] = (qp[j] + diff * q(t, j)) / (1.0 + diff);
+        qp[j] = (qp[j] + diff * q[t * k + j]) / (1.0 + diff);
         p[j] /= (1.0 + diff);
       }
     }
@@ -174,6 +184,15 @@ std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise) {
   } else {
     for (auto& v : p) v /= total;
   }
+}
+
+std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise) {
+  const std::size_t k = pairwise.rows();
+  XDMODML_CHECK(k > 0 && pairwise.cols() == k,
+                "pairwise matrix must be square");
+  CouplingScratch scratch;
+  std::vector<double> p(k);
+  couple_pairwise_probabilities(pairwise.data(), k, scratch, p);
   return p;
 }
 
@@ -486,7 +505,7 @@ const SvmInferencePlan& SvmClassifier::inference_plan() const {
   XDMODML_CHECK(!machines_.empty(), "predict before fit");
   PlanSlot& slot = *plan_slot_;
   std::call_once(slot.once, [&] {
-    auto built = SvmInferencePlan::build(machines_, config_.plan_precision);
+    auto built = SvmInferencePlan::build(machines_, num_classes_);
     const std::lock_guard<std::mutex> lock(slot.m);
     slot.plan = std::move(built);
   });
@@ -499,11 +518,6 @@ std::shared_ptr<const SvmInferencePlan> SvmClassifier::plan_if_built()
   if (plan_slot_ == nullptr) return nullptr;
   const std::lock_guard<std::mutex> lock(plan_slot_->m);
   return plan_slot_->plan;
-}
-
-void SvmClassifier::set_plan_precision(GramPrecision precision) {
-  config_.plan_precision = precision;
-  plan_slot_ = std::make_unique<PlanSlot>();
 }
 
 bool SvmClassifier::use_compiled() const {
@@ -634,62 +648,92 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
   if (use_compiled()) inference_plan();
 }
 
-std::vector<double> SvmClassifier::proba_from_kernel_row(
-    const SvmInferencePlan& plan, std::span<const double> krow) const {
-  const auto k = static_cast<std::size_t>(num_classes_);
-  if (config_.probability) {
-    // Same pairwise coupling as the legacy path, with each machine's
-    // decision value reduced off the shared kernel row.
-    Matrix pairwise(k, k, 0.0);
-    for (int a = 0; a < num_classes_; ++a) {
-      for (int b = a + 1; b < num_classes_; ++b) {
-        const std::size_t idx = machine_index(a, b);
-        const auto& slice = plan.machine(idx);
-        XDMODML_CHECK(slice.has_platt,
-                      "probability requested without Platt fit");
-        double r =
-            slice.sigmoid.probability(plan.decision_value(idx, krow));
-        r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
-        pairwise(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) = r;
-        pairwise(static_cast<std::size_t>(b), static_cast<std::size_t>(a)) =
-            1.0 - r;
-      }
-    }
-    return couple_pairwise_probabilities(pairwise);
-  }
-  std::vector<double> votes(k, 0.0);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
-      const double f = plan.decision_value(machine_index(a, b), krow);
-      ++votes[static_cast<std::size_t>(f > 0.0 ? a : b)];
-    }
-  }
-  const double total = static_cast<double>(machines_.size());
-  for (auto& v : votes) v /= total;
-  return votes;
+namespace {
+
+/// Per-thread serving scratch, reused across every query the thread
+/// predicts: the compiled path allocates only on a thread's first use.
+struct PredictWorkspace {
+  SvmInferencePlan::Scratch plan;
+  std::vector<double> decisions;  ///< kMaxBatch × machines
+  std::vector<double> pairwise;   ///< k × k
+  std::vector<double> scores;     ///< k
+  CouplingScratch coupling;
+};
+
+/// The calling thread's workspace (one per thread, not per caller).
+PredictWorkspace& workspace() {
+  thread_local PredictWorkspace ws;
+  return ws;
 }
 
-int SvmClassifier::votes_from_kernel_row(const SvmInferencePlan& plan,
-                                         std::span<const double> krow) const {
-  std::vector<std::size_t> votes(static_cast<std::size_t>(num_classes_), 0);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
-      const double f = plan.decision_value(machine_index(a, b), krow);
-      ++votes[static_cast<std::size_t>(f > 0.0 ? a : b)];
+/// Argmax (first maximum, so ties go to the lowest class) + its score.
+Prediction top_class(std::span<const double> scores) {
+  const auto it = std::max_element(scores.begin(), scores.end());
+  return {static_cast<int>(it - scores.begin()), *it};
+}
+
+}  // namespace
+
+template <typename Emit>
+void SvmClassifier::predict_compiled(const double* queries, std::size_t n,
+                                     Scores kind, const Emit& emit) const {
+  PredictWorkspace& ws = workspace();
+  const auto& plan = inference_plan();
+  const auto k = static_cast<std::size_t>(num_classes_);
+  const std::size_t machines = machines_.size();
+  const std::size_t step = SvmInferencePlan::kMaxBatch;
+  ws.decisions.resize(step * machines);
+  ws.pairwise.resize(k * k);
+  ws.scores.resize(k);
+  const bool coupled = kind == Scores::kProba && config_.probability;
+  for (std::size_t q0 = 0; q0 < n; q0 += step) {
+    const std::size_t nq = std::min(step, n - q0);
+    plan.decision_values(queries + q0 * plan.dims(), nq, ws.plan,
+                         ws.decisions.data());
+    for (std::size_t i = 0; i < nq; ++i) {
+      const double* dec = ws.decisions.data() + i * machines;
+      std::size_t m = 0;
+      if (coupled) {
+        // The legacy rule: Platt probabilities clipped away from {0, 1}
+        // (as LIBSVM does), then pairwise coupling.
+        for (std::size_t a = 0; a < k; ++a) {
+          for (std::size_t b = a + 1; b < k; ++b, ++m) {
+            double r = machines_[m].sigmoid().probability(dec[m]);
+            r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
+            ws.pairwise[a * k + b] = r;
+            ws.pairwise[b * k + a] = 1.0 - r;
+          }
+        }
+        couple_pairwise_probabilities(ws.pairwise, k, ws.coupling,
+                                      ws.scores);
+      } else {
+        std::fill(ws.scores.begin(), ws.scores.end(), 0.0);
+        for (std::size_t a = 0; a < k; ++a) {
+          for (std::size_t b = a + 1; b < k; ++b, ++m) {
+            ++ws.scores[dec[m] > 0.0 ? a : b];
+          }
+        }
+        if (kind == Scores::kProba) {
+          for (auto& v : ws.scores) v /= static_cast<double>(machines);
+        }
+      }
+      emit(q0 + i, std::span<const double>(ws.scores));
     }
   }
-  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                          votes.begin());
 }
 
 std::vector<double> SvmClassifier::predict_proba(
     std::span<const double> x) const {
   XDMODML_CHECK(!machines_.empty(), "predict before fit");
   if (use_compiled()) {
-    const auto& plan = inference_plan();
-    std::vector<double> krow(plan.unique_support_vectors());
-    plan.kernel_row(x, krow);
-    return proba_from_kernel_row(plan, krow);
+    XDMODML_CHECK(x.size() == inference_plan().dims(),
+                  "predict feature width mismatch");
+    std::vector<double> proba;
+    predict_compiled(x.data(), 1, Scores::kProba,
+                     [&](std::size_t, std::span<const double> scores) {
+                       proba.assign(scores.begin(), scores.end());
+                     });
+    return proba;
   }
   const auto k = static_cast<std::size_t>(num_classes_);
   if (config_.probability) {
@@ -725,10 +769,14 @@ std::vector<double> SvmClassifier::predict_proba(
 int SvmClassifier::predict_by_votes(std::span<const double> x) const {
   XDMODML_CHECK(!machines_.empty(), "predict before fit");
   if (use_compiled()) {
-    const auto& plan = inference_plan();
-    std::vector<double> krow(plan.unique_support_vectors());
-    plan.kernel_row(x, krow);
-    return votes_from_kernel_row(plan, krow);
+    XDMODML_CHECK(x.size() == inference_plan().dims(),
+                  "predict feature width mismatch");
+    int label = -1;
+    predict_compiled(x.data(), 1, Scores::kVotes,
+                     [&](std::size_t, std::span<const double> votes) {
+                       label = top_class(votes).label;
+                     });
+    return label;
   }
   std::vector<std::size_t> votes(static_cast<std::size_t>(num_classes_), 0);
   for (int a = 0; a < num_classes_; ++a) {
@@ -796,21 +844,26 @@ int SvmClassifier::predict(std::span<const double> x) const {
 
 Prediction SvmClassifier::predict_with_probability(
     std::span<const double> x) const {
-  // One predict_proba call serves both the label and its probability:
+  // One probability vector serves both the label and its probability:
   // in probability mode these are the coupled probabilities, otherwise
   // vote fractions whose argmax equals the hard-vote label (same
   // lowest-index tie rule), so label and probability always agree.
-  const auto proba = predict_proba(x);
-  const auto it = std::max_element(proba.begin(), proba.end());
-  return {static_cast<int>(it - proba.begin()), *it};
+  XDMODML_CHECK(!machines_.empty(), "predict before fit");
+  if (!use_compiled()) return top_class(predict_proba(x));
+  XDMODML_CHECK(x.size() == inference_plan().dims(),
+                "predict feature width mismatch");
+  Prediction out;
+  predict_compiled(x.data(), 1, Scores::kProba,
+                   [&](std::size_t, std::span<const double> proba) {
+                     out = top_class(proba);
+                   });
+  return out;
 }
 
 namespace {
 
-// Queries fused per kernel_rows pass.  Each pool block is streamed from
-// memory once per kQueryBlock queries; the krows scratch stays at
-// kQueryBlock × unique doubles per worker.
-constexpr std::size_t kQueryBlock = 8;
+// Rows per thread-pool chunk of a batch: one full kernel call.
+constexpr std::size_t kBatchGrain = SvmInferencePlan::kMaxBatch;
 
 obs::Counter& batch_counter() {
   static auto& c =
@@ -824,31 +877,16 @@ obs::Histogram& batch_histogram() {
   return h;
 }
 
-// Shared skeleton of the fused batch overrides: sweeps X in
-// kQueryBlock-row blocks against the plan's pool (thread-pool fanned)
-// and hands each row's kernel row to `emit(row, krow)`.  Per-row
-// results are identical to the single-row compiled calls — kernel_rows
-// computes each query independently of its block.
-template <typename Emit>
+// Shared skeleton of the batch overrides: counts and times the batch,
+// then fans contiguous row ranges of X out on the thread pool;
+// run(lo, hi) predicts rows [lo, hi).
 void sweep_batch(const SvmInferencePlan& plan, const Matrix& X,
-                 const Emit& emit) {
+                 const std::function<void(std::size_t, std::size_t)>& run) {
   if (X.rows() == 0) return;
   XDMODML_CHECK(X.cols() == plan.dims(), "predict_batch feature width");
   batch_counter().inc();
   obs::ScopedTimer timer(batch_histogram(), "svm.predict.batch");
-  const std::size_t unique = plan.unique_support_vectors();
-  ThreadPool::global().parallel_for_ranges(
-      0, X.rows(), kQueryBlock, [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> krows(kQueryBlock * unique);
-        for (std::size_t q0 = lo; q0 < hi; q0 += kQueryBlock) {
-          const std::size_t b = std::min(kQueryBlock, hi - q0);
-          plan.kernel_rows(X.row(q0).data(), b, krows.data());
-          for (std::size_t i = 0; i < b; ++i) {
-            emit(q0 + i,
-                 std::span<const double>{krows.data() + i * unique, unique});
-          }
-        }
-      });
+  ThreadPool::global().parallel_for_ranges(0, X.rows(), kBatchGrain, run);
 }
 
 }  // namespace
@@ -856,16 +894,14 @@ void sweep_batch(const SvmInferencePlan& plan, const Matrix& X,
 std::vector<int> SvmClassifier::predict_batch(const Matrix& X) const {
   if (!use_compiled()) return Classifier::predict_batch(X);
   XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  const auto& plan = inference_plan();
+  // Vote fractions and vote counts share an argmax, so one rule serves
+  // both model kinds, as in predict().
   std::vector<int> labels(X.rows(), -1);
-  sweep_batch(plan, X, [&](std::size_t row, std::span<const double> krow) {
-    if (!config_.probability) {
-      labels[row] = votes_from_kernel_row(plan, krow);
-    } else {
-      const auto proba = proba_from_kernel_row(plan, krow);
-      labels[row] = static_cast<int>(
-          std::max_element(proba.begin(), proba.end()) - proba.begin());
-    }
+  sweep_batch(inference_plan(), X, [&](std::size_t lo, std::size_t hi) {
+    predict_compiled(X.row(lo).data(), hi - lo, Scores::kProba,
+                     [&](std::size_t i, std::span<const double> proba) {
+                       labels[lo + i] = top_class(proba).label;
+                     });
   });
   return labels;
 }
@@ -874,24 +910,26 @@ std::vector<std::vector<double>> SvmClassifier::predict_proba_batch(
     const Matrix& X) const {
   if (!use_compiled()) return Classifier::predict_proba_batch(X);
   XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  const auto& plan = inference_plan();
-  std::vector<std::vector<double>> proba(X.rows());
-  sweep_batch(plan, X, [&](std::size_t row, std::span<const double> krow) {
-    proba[row] = proba_from_kernel_row(plan, krow);
+  std::vector<std::vector<double>> out(X.rows());
+  sweep_batch(inference_plan(), X, [&](std::size_t lo, std::size_t hi) {
+    predict_compiled(X.row(lo).data(), hi - lo, Scores::kProba,
+                     [&](std::size_t i, std::span<const double> proba) {
+                       out[lo + i].assign(proba.begin(), proba.end());
+                     });
   });
-  return proba;
+  return out;
 }
 
 std::vector<Prediction> SvmClassifier::predict_batch_with_probability(
     const Matrix& X) const {
   if (!use_compiled()) return Classifier::predict_batch_with_probability(X);
   XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  const auto& plan = inference_plan();
   std::vector<Prediction> out(X.rows());
-  sweep_batch(plan, X, [&](std::size_t row, std::span<const double> krow) {
-    const auto proba = proba_from_kernel_row(plan, krow);
-    const auto it = std::max_element(proba.begin(), proba.end());
-    out[row] = {static_cast<int>(it - proba.begin()), *it};
+  sweep_batch(inference_plan(), X, [&](std::size_t lo, std::size_t hi) {
+    predict_compiled(X.row(lo).data(), hi - lo, Scores::kProba,
+                     [&](std::size_t i, std::span<const double> proba) {
+                       out[lo + i] = top_class(proba);
+                     });
   });
   return out;
 }

@@ -51,13 +51,6 @@ struct SvmConfig {
   /// doubles the rows the byte budget affords and halves reuse
   /// bandwidth; float64 is the exact ablation arm (run-time flag).
   GramPrecision cache_precision = GramPrecision::kFloat32;
-  /// Storage precision of the compiled inference plan's deduplicated
-  /// support-vector pool (see ml/svm_plan.hpp).  Float64 (default)
-  /// keeps compiled decision values within ~1e-10 of the legacy scalar
-  /// path; float32 halves the pool bytes at a magnitude-scaled accuracy
-  /// cost (the paper's features are standardized, so coordinates are
-  /// O(1) and the quantization error is benign).
-  GramPrecision plan_precision = GramPrecision::kFloat64;
 };
 
 /// Parameters of a fitted Platt sigmoid  P(+1|f) = 1/(1+exp(A f + B)).
@@ -73,8 +66,21 @@ struct PlattSigmoid {
 PlattSigmoid fit_platt_sigmoid(std::span<const double> decision_values,
                                std::span<const signed char> labels);
 
+/// Caller-owned working storage for couple_pairwise_probabilities,
+/// reused across calls so serving allocates nothing per query.
+struct CouplingScratch {
+  std::vector<double> q;
+  std::vector<double> qp;
+};
+
 /// Pairwise coupling of one-vs-one probabilities into class probabilities
-/// (Wu–Lin–Weng).  `pairwise(i, j)` for i < j is P(class i | {i, j}, x).
+/// (Wu–Lin–Weng).  `pairwise` is k × k row-major; entry (i, j), i ≠ j, is
+/// P(class i | {i, j}, x).  Writes the k class probabilities to `p`.
+void couple_pairwise_probabilities(std::span<const double> pairwise,
+                                   std::size_t k, CouplingScratch& scratch,
+                                   std::span<double> p);
+
+/// Allocating form of the above (same arithmetic, same bits).
 std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise);
 
 /// A single two-class soft-margin SVM.
@@ -155,8 +161,8 @@ class SvmInferencePlan;  // ml/svm_plan.hpp
 ///
 /// Prediction has two runtime-selectable paths (XDMODML_SVM_PREDICT,
 /// see ml/svm_plan.hpp): the legacy per-machine scalar kernel walk, and
-/// the compiled inference plan — one deduplicated support-vector pool
-/// swept with SIMD kernel rows, shared by all machines.  The plan is
+/// the compiled inference plan — one deduplicated, class-blocked
+/// support-vector pool swept by one SIMD kernel, shared by all machines.  The plan is
 /// built after fit (compiled mode) or lazily and thread-safely on first
 /// compiled prediction (e.g. after load).
 class SvmClassifier final : public Classifier {
@@ -223,10 +229,11 @@ class SvmClassifier final : public Classifier {
   Prediction predict_with_probability(
       std::span<const double> x) const override;
 
-  /// Fused batch entry points: in compiled mode, blocks of query rows
-  /// are swept against the shared support-vector pool (one pool read
-  /// serves the whole block); in legacy mode these fall back to the
-  /// per-row base-class loop.  Results match the single-row calls.
+  /// Batch entry points: in compiled mode, chunks of rows go through
+  /// the plan's kernel on the thread pool (one pool read serves every
+  /// query of a call); in legacy mode these fall back to the
+  /// per-row base-class loop.  Results equal the single-row calls bit
+  /// for bit — a single row is the compiled batch of one.
   std::vector<int> predict_batch(const Matrix& X) const override;
   std::vector<std::vector<double>> predict_proba_batch(
       const Matrix& X) const override;
@@ -241,10 +248,6 @@ class SvmClassifier final : public Classifier {
   /// The plan if some caller already forced its construction, else
   /// nullptr — report/metrics hooks peek without paying for a build.
   std::shared_ptr<const SvmInferencePlan> plan_if_built() const;
-
-  /// Re-arms the plan with a new pool storage precision (f32/f64
-  /// A/B arm).  Not thread-safe against concurrent predictions.
-  void set_plan_precision(GramPrecision precision);
 
   int num_classes() const override { return num_classes_; }
   std::size_t num_machines() const { return machines_.size(); }
@@ -262,12 +265,19 @@ class SvmClassifier final : public Classifier {
 
   /// True when this call should ride the compiled plan.
   bool use_compiled() const;
-  /// predict_proba computed from a plan kernel row (coupled
-  /// probabilities or vote fractions, mirroring the legacy rules).
-  std::vector<double> proba_from_kernel_row(
-      const SvmInferencePlan& plan, std::span<const double> krow) const;
-  int votes_from_kernel_row(const SvmInferencePlan& plan,
-                            std::span<const double> krow) const;
+
+  /// What predict_compiled hands back per query.
+  enum class Scores {
+    kProba,  ///< coupled probabilities, or vote fractions without Platt
+    kVotes,  ///< raw one-vs-one vote counts
+  };
+  /// Runs the n row-major `queries` through the compiled plan,
+  /// kMaxBatch per kernel call, and calls emit(i, scores) with query
+  /// i's k class scores (valid during the call only).  Defined in
+  /// svm.cpp, its only user.
+  template <typename Emit>
+  void predict_compiled(const double* queries, std::size_t n, Scores kind,
+                        const Emit& emit) const;
 
   SvmConfig config_;
   std::uint64_t seed_;

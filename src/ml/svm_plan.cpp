@@ -16,11 +16,6 @@ namespace xdmodml::ml {
 
 namespace {
 
-// Pool rows swept per pass.  A block of support vectors is streamed from
-// memory once and reused for every query of a batch, so the block must
-// fit in L1/L2 alongside a query row: 256 rows × 32 doubles ≈ 64 KiB.
-constexpr std::size_t kPoolBlock = 256;
-
 // Mirrors kernel.cpp: integral degrees up to this bound use
 // exponentiation by squaring (bit-identical to the scalar kernel path).
 constexpr double kMaxIntegralDegree = 64.0;
@@ -60,7 +55,6 @@ struct PlanMetrics {
   obs::Gauge& total_svs;
   obs::Gauge& dedup_ratio_x1000;
   obs::Gauge& pool_bytes;
-  obs::Gauge& precision_bits;
   obs::Counter& builds;
 
   static PlanMetrics& instance() {
@@ -69,11 +63,19 @@ struct PlanMetrics {
                          reg.gauge("svm.plan.total_svs"),
                          reg.gauge("svm.plan.dedup_ratio_x1000"),
                          reg.gauge("svm.plan.pool_bytes"),
-                         reg.gauge("svm.plan.precision_bits"),
                          reg.counter("svm.plan.builds")};
     return m;
   }
 };
+
+void count_queries(std::size_t nq, std::size_t unique) {
+  static auto& queries =
+      obs::MetricsRegistry::instance().counter("svm.predict.queries");
+  static auto& elements = obs::MetricsRegistry::instance().counter(
+      "svm.predict.kernel_row_elements");
+  queries.inc(nq);
+  elements.inc(nq * unique);
+}
 
 }  // namespace
 
@@ -102,29 +104,41 @@ std::optional<SvmPredictMode> svm_predict_mode_from_string(
 }
 
 std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
-    std::span<const BinarySvm> machines, GramPrecision precision) {
-  XDMODML_CHECK(!machines.empty(), "inference plan needs trained machines");
+    std::span<const BinarySvm> machines, int num_classes) {
+  const auto k = static_cast<std::size_t>(num_classes);
+  XDMODML_CHECK(num_classes >= 2 && machines.size() == k * (k - 1) / 2,
+                "inference plan needs the k(k-1)/2 one-vs-one machines");
 
   auto plan = std::shared_ptr<SvmInferencePlan>(new SvmInferencePlan());
   plan->kernel_ = machines[0].kernel();
-  plan->precision_ = precision;
+  plan->classes_ = k;
   plan->dims_ = machines[0].support_vectors().cols();
-  if (plan->kernel_.type == Kernel::Type::kPolynomial &&
-      plan->kernel_.degree > 0.0 &&
-      plan->kernel_.degree <= kMaxIntegralDegree &&
-      plan->kernel_.degree == std::floor(plan->kernel_.degree)) {
-    plan->integral_degree_ = true;
-    plan->degree_int_ = static_cast<std::uint64_t>(plan->kernel_.degree);
+  switch (plan->kernel_.type) {
+    case Kernel::Type::kLinear:
+      plan->form_ = simd::KernelForm::kLinear;
+      break;
+    case Kernel::Type::kRbf:
+      plan->form_ = simd::KernelForm::kRbf;
+      break;
+    case Kernel::Type::kPolynomial: {
+      const double deg = plan->kernel_.degree;
+      const bool integral = deg > 0.0 && deg <= kMaxIntegralDegree &&
+                            deg == std::floor(deg);
+      plan->form_ = integral ? simd::KernelForm::kPolyIntegral
+                             : simd::KernelForm::kPolyReal;
+      if (integral) plan->degree_int_ = static_cast<std::uint64_t>(deg);
+      break;
+    }
   }
 
   // Every one-vs-one machine of a fit shares one kernel; a mixed set
   // cannot share a pool row sweep.
   for (const auto& m : machines) {
-    const auto& k = m.kernel();
-    XDMODML_CHECK(k.type == plan->kernel_.type &&
-                      k.gamma == plan->kernel_.gamma &&
-                      k.degree == plan->kernel_.degree &&
-                      k.coef0 == plan->kernel_.coef0,
+    const auto& kern = m.kernel();
+    XDMODML_CHECK(kern.type == plan->kernel_.type &&
+                      kern.gamma == plan->kernel_.gamma &&
+                      kern.degree == plan->kernel_.degree &&
+                      kern.coef0 == plan->kernel_.coef0,
                   "inference plan requires one kernel across machines");
     XDMODML_CHECK(m.support_vectors().cols() == plan->dims_,
                   "inference plan requires one feature width");
@@ -146,76 +160,83 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
   }
   plan->provenance_ = provenance;
 
-  // Stage the unique rows in double regardless of the target precision;
-  // content keying compares the original doubles bit-exactly.
+  // Pass 1: give every machine SV a (class, index within class) slot.
+  // Keys live per class, so a row that supports two classes (possible
+  // in a hand-made or corrupted model) gets one slot in each block.
   const std::size_t d = plan->dims_;
-  std::vector<double> staging;
-  staging.reserve(machines[0].num_support_vectors() * d);
-  std::unordered_map<std::size_t, std::uint32_t> by_full_row;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_content;
-
-  auto pool_index_for = [&](const BinarySvm& m,
-                            std::size_t s) -> std::uint32_t {
-    const std::size_t next = staging.size() / d;
-    XDMODML_CHECK(next <= 0xffffffffull, "support-vector pool too large");
-    const auto row = m.support_vectors().row(s);
-    if (provenance) {
-      const auto [it, inserted] =
-          by_full_row.try_emplace(m.sv_full_rows()[s],
-                                  static_cast<std::uint32_t>(next));
-      if (!inserted) return it->second;
-    } else {
-      auto& bucket = by_content[hash_row_bytes(row.data(), d)];
-      for (const auto idx : bucket) {
-        if (std::memcmp(staging.data() + idx * d, row.data(),
-                        d * sizeof(double)) == 0) {
-          return idx;
-        }
-      }
-      bucket.push_back(static_cast<std::uint32_t>(next));
-    }
-    staging.insert(staging.end(), row.begin(), row.end());
-    return static_cast<std::uint32_t>(next);
+  std::vector<std::vector<const double*>> rows_of(k);
+  std::vector<std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>>
+      buckets(k);
+  struct Slot {
+    std::size_t cls;
+    std::size_t idx;
   };
-
-  plan->machines_.reserve(machines.size());
-  for (const auto& m : machines) {
-    MachineSlice slice;
-    const std::size_t svs = m.num_support_vectors();
-    slice.sv_pool_idx.reserve(svs);
-    for (std::size_t s = 0; s < svs; ++s) {
-      slice.sv_pool_idx.push_back(pool_index_for(m, s));
+  std::vector<Slot> slots;
+  slots.reserve(plan->total_);
+  std::size_t m = 0;
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b, ++m) {
+      const BinarySvm& machine = machines[m];
+      for (std::size_t s = 0; s < machine.num_support_vectors(); ++s) {
+        const std::size_t cls = machine.coefficients()[s] > 0.0 ? a : b;
+        const double* row = machine.support_vectors().row(s).data();
+        auto& bucket = buckets[cls][provenance ? machine.sv_full_rows()[s]
+                                               : hash_row_bytes(row, d)];
+        const auto hit = std::find_if(
+            bucket.begin(), bucket.end(), [&](std::uint32_t idx) {
+              return provenance || std::memcmp(rows_of[cls][idx], row,
+                                               d * sizeof(double)) == 0;
+            });
+        std::size_t idx = 0;
+        if (hit != bucket.end()) {
+          idx = *hit;
+        } else {
+          idx = rows_of[cls].size();
+          XDMODML_CHECK(idx <= 0xffffffffull, "support-vector pool too large");
+          bucket.push_back(static_cast<std::uint32_t>(idx));
+          rows_of[cls].push_back(row);
+        }
+        slots.push_back({cls, idx});
+      }
     }
-    slice.coef.assign(m.coefficients().begin(), m.coefficients().end());
-    slice.rho = m.rho();
-    slice.has_platt = m.has_probability();
-    if (slice.has_platt) slice.sigmoid = m.sigmoid();
-    plan->machines_.push_back(std::move(slice));
   }
 
-  plan->unique_ = staging.size() / d;
-  if (precision == GramPrecision::kFloat32) {
-    // Quantize the coordinates; kernels evaluate in double on the
-    // widened values, and the cached norms match the quantized pool so
-    // the norm expansion stays self-consistent.
-    plan->pool_f32_.resize(staging.size());
-    for (std::size_t i = 0; i < staging.size(); ++i) {
-      plan->pool_f32_[i] = static_cast<float>(staging[i]);
-    }
-    plan->sq_norms_.resize(plan->unique_);
-    std::vector<double> wide(d);
-    for (std::size_t j = 0; j < plan->unique_; ++j) {
-      for (std::size_t i = 0; i < d; ++i) {
-        wide[i] = static_cast<double>(plan->pool_f32_[j * d + i]);
+  // Pass 2: lay the class blocks out as whole 4-row panels.
+  plan->block_.assign(k + 1, 0);
+  plan->class_rows_.resize(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    plan->class_rows_[c] = rows_of[c].size();
+    plan->unique_ += rows_of[c].size();
+    plan->block_[c + 1] = plan->block_[c] + (rows_of[c].size() + 3) / 4 * 4;
+  }
+  const std::size_t rows = plan->rows_ = plan->block_[k];
+  plan->panels_.assign(rows * d, 0.0);
+  plan->sq_norms_.assign(rows, 0.0);
+  plan->coef_.assign((k - 1) * rows, 0.0);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t i = 0; i < rows_of[c].size(); ++i) {
+      const std::size_t j = plan->block_[c] + i;
+      const double* src = rows_of[c][i];
+      for (std::size_t f = 0; f < d; ++f) {
+        plan->panels_[((j / 4) * d + f) * 4 + j % 4] = src[f];
       }
-      plan->sq_norms_[j] = simd::squared_norm(wide.data(), d);
+      plan->sq_norms_[j] = simd::squared_norm(src, d);
     }
-  } else {
-    plan->pool_f64_ = std::move(staging);
-    plan->sq_norms_.resize(plan->unique_);
-    for (std::size_t j = 0; j < plan->unique_; ++j) {
-      plan->sq_norms_[j] =
-          simd::squared_norm(plan->pool_f64_.data() + j * d, d);
+  }
+  // Machine (a, b): class-a SVs on coefficient row b−1, class-b SVs on
+  // row a.  A content-merged duplicate within one machine sums its
+  // coefficients.
+  plan->rho_.resize(machines.size());
+  std::size_t t = 0;
+  m = 0;
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b, ++m) {
+      plan->rho_[m] = machines[m].rho();
+      for (const double c : machines[m].coefficients()) {
+        const Slot slot = slots[t++];
+        const std::size_t r = slot.cls == a ? b - 1 : a;
+        plan->coef_[r * rows + plan->block_[slot.cls] + slot.idx] += c;
+      }
     }
   }
 
@@ -225,7 +246,6 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
   metrics.dedup_ratio_x1000.set(
       static_cast<std::int64_t>(plan->dedup_ratio() * 1000.0));
   metrics.pool_bytes.set(static_cast<std::int64_t>(plan->pool_bytes()));
-  metrics.precision_bits.set(precision == GramPrecision::kFloat32 ? 32 : 64);
   metrics.builds.inc();
   return plan;
 }
@@ -236,100 +256,46 @@ double SvmInferencePlan::dedup_ratio() const {
                             static_cast<double>(unique_);
 }
 
-std::size_t SvmInferencePlan::pool_bytes() const {
-  return unique_ * dims_ *
-         (precision_ == GramPrecision::kFloat32 ? sizeof(float)
-                                                : sizeof(double));
-}
-
-void SvmInferencePlan::transform_block(std::span<const double> x, double x_sq,
-                                       const double* rows, std::size_t lo,
-                                       std::size_t hi, double* out) const {
-  const std::size_t len = hi - lo;
-  simd::dot_rows(x.data(), rows, dims_, len, out + lo);
-  switch (kernel_.type) {
-    case Kernel::Type::kLinear:
-      break;
-    case Kernel::Type::kRbf:
-      simd::rbf_row_transform(out + lo, sq_norms_.data() + lo, len, x_sq,
-                              kernel_.gamma);
-      break;
-    case Kernel::Type::kPolynomial: {
-      const double g = kernel_.gamma;
-      const double c0 = kernel_.coef0;
-      if (integral_degree_) {
-        simd::poly_row_transform_powi(out + lo, len, g, c0, degree_int_);
-      } else {
-        for (std::size_t j = lo; j < hi; ++j) {
-          out[j] = std::pow(g * out[j] + c0, kernel_.degree);
-        }
-      }
-      break;
-    }
-  }
-}
-
-void SvmInferencePlan::kernel_rows(const double* queries, std::size_t b,
-                                   double* out) const {
-  if (b == 0) return;
-  static auto& queries_counter =
-      obs::MetricsRegistry::instance().counter("svm.predict.queries");
-  static auto& elements_counter =
-      obs::MetricsRegistry::instance().counter(
-          "svm.predict.kernel_row_elements");
-  queries_counter.inc(b);
-  elements_counter.inc(b * unique_);
-
-  const bool rbf = kernel_.type == Kernel::Type::kRbf;
-  std::vector<double> x_sq(rbf ? b : 0, 0.0);
-  if (rbf) {
-    for (std::size_t q = 0; q < b; ++q) {
-      x_sq[q] = simd::squared_norm(queries + q * dims_, dims_);
-    }
-  }
-
-  // Pool-block outer, query inner: each block of support vectors is
-  // read from memory once per b queries.
-  std::vector<double> wide;
-  if (precision_ == GramPrecision::kFloat32) {
-    wide.resize(std::min(kPoolBlock, unique_) * dims_);
-  }
-  for (std::size_t lo = 0; lo < unique_; lo += kPoolBlock) {
-    const std::size_t hi = std::min(lo + kPoolBlock, unique_);
-    const double* rows = nullptr;
-    if (precision_ == GramPrecision::kFloat32) {
-      const std::size_t n = (hi - lo) * dims_;
-      const float* src = pool_f32_.data() + lo * dims_;
-      for (std::size_t i = 0; i < n; ++i) {
-        wide[i] = static_cast<double>(src[i]);
-      }
-      rows = wide.data();
-    } else {
-      rows = pool_f64_.data() + lo * dims_;
-    }
-    for (std::size_t q = 0; q < b; ++q) {
-      transform_block({queries + q * dims_, dims_}, rbf ? x_sq[q] : 0.0,
-                      rows, lo, hi, out + q * unique_);
-    }
-  }
+simd::SvmBlocks SvmInferencePlan::blocks() const {
+  return {panels_.data(), sq_norms_.data(), coef_.data(),  block_.data(),
+          classes_,       rows_,            dims_,         form_,
+          kernel_.gamma,  kernel_.coef0,    kernel_.degree, degree_int_};
 }
 
 void SvmInferencePlan::kernel_row(std::span<const double> x,
                                   std::span<double> out) const {
   XDMODML_CHECK(x.size() == dims_, "kernel_row probe width mismatch");
   XDMODML_CHECK(out.size() >= unique_, "kernel_row output too small");
-  kernel_rows(x.data(), 1, out.data());
+  count_queries(1, unique_);
+  std::vector<double> padded(simd::kMaxQueries * rows_);
+  simd::svm_block_sums(blocks(), x.data(), 1, padded.data(), nullptr);
+  auto dst = out.begin();
+  for (std::size_t c = 0; c < classes_; ++c) {
+    const auto src = padded.begin() + static_cast<std::ptrdiff_t>(block_[c]);
+    dst = std::copy(src, src + static_cast<std::ptrdiff_t>(class_rows_[c]),
+                    dst);
+  }
 }
 
-double SvmInferencePlan::decision_value(std::size_t idx,
-                                        std::span<const double> krow) const {
-  const MachineSlice& slice = machines_[idx];
-  double f = -slice.rho;
-  const std::size_t svs = slice.sv_pool_idx.size();
-  for (std::size_t s = 0; s < svs; ++s) {
-    f += slice.coef[s] * krow[slice.sv_pool_idx[s]];
+void SvmInferencePlan::decision_values(const double* queries, std::size_t nq,
+                                       Scratch& scratch, double* out) const {
+  XDMODML_CHECK(nq <= kMaxBatch, "decision_values takes <= 32 queries");
+  const std::size_t k1 = classes_ - 1;
+  count_queries(nq, unique_);
+  scratch.krow.resize(simd::kMaxQueries * rows_);
+  scratch.sums.resize(kMaxBatch * classes_ * k1);
+  simd::svm_block_sums(blocks(), queries, nq, scratch.krow.data(),
+                       scratch.sums.data());
+  for (std::size_t q = 0; q < nq; ++q) {
+    const double* sums = scratch.sums.data() + q * classes_ * k1;
+    double* dec = out + q * rho_.size();
+    std::size_t m = 0;
+    for (std::size_t a = 0; a < classes_; ++a) {
+      for (std::size_t b = a + 1; b < classes_; ++b, ++m) {
+        dec[m] = sums[a * k1 + b - 1] + sums[b * k1 + a] - rho_[m];
+      }
+    }
   }
-  return f;
 }
 
 }  // namespace xdmodml::ml

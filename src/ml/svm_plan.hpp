@@ -1,5 +1,5 @@
-// Compiled SVM inference plan: a deduplicated support-vector pool with
-// SIMD-batched one-vs-one prediction.
+// Compiled SVM inference plan: a deduplicated, class-blocked support-
+// vector pool with one register-tiled predict kernel.
 //
 // Serving is the traffic-facing hot path (the paper's §IV production
 // goal pushes every Uncategorized/NA job through the 20-class RBF
@@ -8,25 +8,21 @@
 // training row that supports many of the k(k−1)/2 one-vs-one machines
 // has K(x, row) recomputed once per machine on every query.
 //
-// The plan fixes that once per model:
-//  * all machines' support vectors are merged into ONE row-major pool of
-//    unique rows — keyed on full-matrix row provenance (`sv_full_rows_`)
-//    when every machine carries it, content (bit-exact row bytes)
-//    otherwise — with per-row squared norms precomputed;
-//  * prediction computes ONE fused kernel row K(x, pool) through the
-//    runtime-dispatched SIMD microkernels (util/simd.hpp: the blocked
-//    4-rows-per-pass dot sweep + vectorized RBF/poly transforms; the
-//    scalar table serves XDMODML_SIMD=scalar builds/CPUs identically);
-//  * each one-vs-one machine reduces its decision value as a sparse
-//    coefficient dot over indices into that shared row;
-//  * a batched entry point evaluates B queries per pool block, so a
-//    block of support vectors is read from memory once per B queries.
-//
-// Storage precision mirrors GramPrecision: kFloat64 (the default) keeps
-// decision values within ~1e-10 of the legacy scalar walk; kFloat32
-// halves the pool bytes by quantizing support-vector *coordinates* to
-// float (kernels are still evaluated in double on the widened values,
-// and the precomputed norms are consistent with the quantized pool).
+// The plan stores the model in LIBSVM's layout (Chang & Lin 2011):
+//  * all machines' support vectors are merged into ONE pool of unique
+//    (class, row) pairs — keyed on full-matrix row provenance
+//    (`sv_full_rows_`) when every machine carries it, content (bit-exact
+//    row bytes) otherwise — ordered by class, so class c's SVs are one
+//    contiguous block;
+//  * the coefficients form one dense (k−1) × nSV matrix, so machine
+//    (a, b) is two contiguous dots: row b−1 over block a plus row a
+//    over block b, with no index gathers;
+//  * prediction is `simd::svm_block_sums` (util/simd.hpp): per class
+//    block, kernel rows for up to four queries at a time, then that
+//    block's coefficient sums across the same queries.  A single query
+//    is the batch of one, and each query's arithmetic is independent of
+//    the batch it rides in, so batch results equal single results
+//    exactly.
 //
 // The legacy path remains runtime-selectable via XDMODML_SVM_PREDICT
 // (see SvmPredictMode below) and is bit-identical to its pre-plan
@@ -43,6 +39,7 @@
 #include <vector>
 
 #include "ml/svm.hpp"
+#include "util/simd.hpp"
 
 namespace xdmodml::ml {
 
@@ -73,75 +70,73 @@ std::optional<SvmPredictMode> svm_predict_mode_from_string(
 /// and touches no mutable state.
 class SvmInferencePlan {
  public:
-  /// One machine's view into the pool: decision value
-  ///   f(x) = Σ_s coef[s] · krow[sv_pool_idx[s]] − rho.
-  struct MachineSlice {
-    std::vector<std::uint32_t> sv_pool_idx;  ///< pool row per SV
-    std::vector<double> coef;                ///< alpha_i · y_i, aligned
-    double rho = 0.0;
-    PlattSigmoid sigmoid{};
-    bool has_platt = false;
+  /// Queries per decision_values call.  Each call reads every class
+  /// block from memory once, so larger calls amortize that read over
+  /// more queries; this bounds the scratch.
+  static constexpr std::size_t kMaxBatch = 32;
+
+  /// Caller-owned per-thread scratch for decision_values, reused
+  /// across calls (sized on first use).
+  struct Scratch {
+    std::vector<double> krow;
+    std::vector<double> sums;
   };
 
-  /// Merges the machines' support vectors into the deduplicated pool.
-  /// Keyed on sv_full_rows() provenance when every machine carries it
-  /// (one fit's machines share a full-matrix keyspace), content hash
-  /// with bit-exact verification otherwise.  Updates the svm.plan.*
-  /// gauges.  Requires at least one trained machine.
+  /// Merges the machines' support vectors into the class-blocked pool.
+  /// `machines` are the k(k−1)/2 one-vs-one machines of `num_classes`
+  /// classes in lexicographic (a, b) order; an SV with a positive
+  /// coefficient belongs to class a, otherwise to class b.  Keyed on
+  /// sv_full_rows() provenance when every machine carries it, content
+  /// hash with bit-exact verification otherwise — always per class.
+  /// Updates the svm.plan.* gauges.
   static std::shared_ptr<const SvmInferencePlan> build(
-      std::span<const BinarySvm> machines, GramPrecision precision);
+      std::span<const BinarySvm> machines, int num_classes);
 
   std::size_t unique_support_vectors() const { return unique_; }
   std::size_t total_support_vectors() const { return total_; }
   /// total / unique — how many machines the average pool row serves.
   double dedup_ratio() const;
   std::size_t dims() const { return dims_; }
-  GramPrecision precision() const { return precision_; }
   bool provenance_keyed() const { return provenance_; }
-  /// Bytes of pool storage (support-vector payload at `precision`).
-  std::size_t pool_bytes() const;
+  /// Bytes of pool storage (panels, block padding included).
+  std::size_t pool_bytes() const { return panels_.size() * sizeof(double); }
   const Kernel& kernel() const { return kernel_; }
-  std::size_t num_machines() const { return machines_.size(); }
-  const MachineSlice& machine(std::size_t idx) const {
-    return machines_[idx];
+  std::size_t num_machines() const { return rho_.size(); }
+  /// Unique SVs of class c (its pool block, padding excluded).
+  std::size_t class_support_vectors(std::size_t c) const {
+    return class_rows_[c];
   }
 
-  /// out[j] = k(x, pool_j) for j in [0, unique_support_vectors()).
-  /// One fused SIMD sweep; out.size() must be >= the pool size.
+  /// out[j] = k(x, pool_j) for j in [0, unique_support_vectors()), pool
+  /// rows in class-block order.  out.size() must be >= the pool size.
   void kernel_row(std::span<const double> x, std::span<double> out) const;
 
-  /// Batched form: `queries` is b contiguous row-major query rows of
-  /// dims() doubles; out is b × unique_support_vectors() row-major.
-  /// Processes the pool block-outer / query-inner so each block of
-  /// support vectors is streamed from memory once per b queries.
-  void kernel_rows(const double* queries, std::size_t b, double* out) const;
-
-  /// Decision value of machine `idx` against a kernel row produced by
-  /// kernel_row(s) for the query.
-  double decision_value(std::size_t idx,
-                        std::span<const double> krow) const;
+  /// Decision values of every machine, lexicographic (a, b) order, for
+  /// nq ≤ kMaxBatch row-major queries of dims() doubles:
+  /// out[q · num_machines() + m].  Each query's values do not depend on
+  /// nq or on its position in the call.
+  void decision_values(const double* queries, std::size_t nq,
+                       Scratch& scratch, double* out) const;
 
  private:
   SvmInferencePlan() = default;
-
-  /// Pool rows [lo, hi) for one query: SIMD dot sweep + kernel
-  /// transform into out[lo..hi).  `rows` is the (widened) block base.
-  void transform_block(std::span<const double> x, double x_sq,
-                       const double* rows, std::size_t lo, std::size_t hi,
-                       double* out) const;
+  simd::SvmBlocks blocks() const;
 
   Kernel kernel_;
-  GramPrecision precision_ = GramPrecision::kFloat64;
+  simd::KernelForm form_ = simd::KernelForm::kRbf;
+  std::uint64_t degree_int_ = 0;
   bool provenance_ = false;
+  std::size_t classes_ = 0;
   std::size_t dims_ = 0;
   std::size_t unique_ = 0;
   std::size_t total_ = 0;
-  std::vector<double> pool_f64_;   ///< unique_ × dims_ (kFloat64 arm)
-  std::vector<float> pool_f32_;    ///< unique_ × dims_ (kFloat32 arm)
-  std::vector<double> sq_norms_;   ///< ‖pool_j‖² over the stored values
-  bool integral_degree_ = false;   ///< polynomial degree is a small int
-  std::uint64_t degree_int_ = 0;
-  std::vector<MachineSlice> machines_;
+  std::size_t rows_ = 0;              ///< pool rows, block padding included
+  std::vector<std::size_t> block_;    ///< classes_ + 1 row offsets
+  std::vector<std::size_t> class_rows_;  ///< unique SVs per class
+  std::vector<double> panels_;        ///< 4-row feature-major panels
+  std::vector<double> sq_norms_;      ///< ‖pool_j‖²
+  std::vector<double> coef_;          ///< (classes_ − 1) × rows_
+  std::vector<double> rho_;           ///< per machine
 };
 
 }  // namespace xdmodml::ml

@@ -50,13 +50,58 @@ void poly_row_transform_powi_scalar(double* dots, std::size_t n, double gamma,
   }
 }
 
+double kernel_form_scalar(const SvmBlocks& m, double dot, double x_sq,
+                          double y_sq) {
+  switch (m.form) {
+    case KernelForm::kLinear:
+      return dot;
+    case KernelForm::kRbf:
+      return std::exp(-m.gamma * clamped_sq_dist(x_sq, y_sq, dot));
+    case KernelForm::kPolyIntegral:
+      return powi(m.gamma * dot + m.coef0, m.degree_int);
+    case KernelForm::kPolyReal:
+      return std::pow(m.gamma * dot + m.coef0, m.degree);
+  }
+  return dot;  // unreachable
+}
+
+// One query at a time, one pool row at a time: trivially independent
+// of nq.  Every query reuses krow's first row.
+void svm_block_sums_scalar(const SvmBlocks& m, const double* queries,
+                           std::size_t nq, double* krow, double* sums) {
+  const std::size_t d = m.dims;
+  const std::size_t k1 = m.classes - 1;
+  for (std::size_t q = 0; q < nq; ++q) {
+    const double* x = queries + q * d;
+    const double x_sq = squared_norm_scalar(x, d);
+    for (std::size_t j = 0; j < m.rows; ++j) {
+      const double* col = m.panels + (j / 4) * d * 4 + j % 4;
+      double dot = 0.0;
+      for (std::size_t f = 0; f < d; ++f) dot += x[f] * col[f * 4];
+      krow[j] = kernel_form_scalar(m, dot, x_sq, m.sq_norms[j]);
+    }
+    if (sums == nullptr) continue;
+    for (std::size_t a = 0; a < m.classes; ++a) {
+      for (std::size_t r = 0; r < k1; ++r) {
+        const double* coef = m.coef + r * m.rows;
+        double s = 0.0;
+        for (std::size_t j = m.block[a]; j < m.block[a + 1]; ++j) {
+          s += coef[j] * krow[j];
+        }
+        sums[(q * m.classes + a) * k1 + r] = s;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const Ops* scalar_ops() {
   static constexpr Ops ops{dot_scalar,          dot_rows_scalar,
                            squared_norm_scalar, exp_inplace_scalar,
                            rbf_row_transform_scalar,
-                           poly_row_transform_powi_scalar};
+                           poly_row_transform_powi_scalar,
+                           svm_block_sums_scalar};
   return &ops;
 }
 
@@ -177,6 +222,11 @@ void rbf_row_transform(double* dots, const double* sq_norms, std::size_t n,
 void poly_row_transform_powi(double* dots, std::size_t n, double gamma,
                              double coef0, std::uint64_t degree) {
   ops()->poly_row_transform_powi(dots, n, gamma, coef0, degree);
+}
+
+void svm_block_sums(const SvmBlocks& model, const double* queries,
+                    std::size_t nq, double* krow, double* sums) {
+  ops()->svm_block_sums(model, queries, nq, krow, sums);
 }
 
 }  // namespace xdmodml::simd

@@ -11,7 +11,10 @@
 //   * dot / squared_norm   — FMA-chained reductions over contiguous rows;
 //   * exp_inplace          — vectorized exp (Cephes-style polynomial);
 //   * rbf_row_transform    — dots → exp(−γ·clamped ‖x−xⱼ‖²) in one pass;
-//   * poly_row_transform_powi — dots → (γ·dot + c0)^degree, integral degree.
+//   * poly_row_transform_powi — dots → (γ·dot + c0)^degree, integral degree;
+//   * svm_block_sums       — the serving kernel: kernel rows of up to four
+//                            queries against a class-blocked SVM pool,
+//                            then the per-class coefficient sums.
 //
 // Each call dispatches through a function-pointer table selected ONCE at
 // startup from cpuid (AVX2 + FMA today; a scalar fallback always exists,
@@ -125,5 +128,53 @@ void rbf_row_transform(double* dots, const double* sq_norms, std::size_t n,
 ///   dots[j] = powi(gamma · dots[j] + coef0, degree)
 void poly_row_transform_powi(double* dots, std::size_t n, double gamma,
                              double coef0, std::uint64_t degree);
+
+/// Kernel function applied by svm_block_sums to each inner product.
+enum class KernelForm : std::uint8_t {
+  kLinear,        ///< x·y
+  kRbf,           ///< exp(−γ · clamped_sq_dist)
+  kPolyIntegral,  ///< powi(γ·x·y + coef0, degree_int)
+  kPolyReal,      ///< std::pow(γ·x·y + coef0, degree)
+};
+
+/// Queries svm_block_sums holds in registers at once.
+inline constexpr std::size_t kMaxQueries = 4;
+
+/// A one-vs-one SVM in LIBSVM's class-blocked layout (Chang & Lin 2011).
+/// The support vectors of class c are pool rows [block[c], block[c+1]);
+/// every block is a whole number of 4-row panels (zero rows pad a block
+/// out).  Panel p holds rows 4p..4p+3 feature-major:
+///   row j, feature f  →  panels[((j / 4) · dims + f) · 4 + j % 4].
+/// coef is the dense (classes − 1) × rows matrix of α·y: machine (a, b),
+/// a < b, uses row b − 1 over block a and row a over block b (padding
+/// and non-participating SVs hold 0).
+struct SvmBlocks {
+  const double* panels = nullptr;
+  const double* sq_norms = nullptr;  ///< ‖row j‖², rows entries
+  const double* coef = nullptr;      ///< (classes − 1) × rows
+  const std::size_t* block = nullptr;  ///< classes + 1 row offsets
+  std::size_t classes = 0;
+  std::size_t rows = 0;  ///< multiple of 4
+  std::size_t dims = 0;
+  KernelForm form = KernelForm::kRbf;
+  double gamma = 0.0;
+  double coef0 = 0.0;
+  double degree = 0.0;
+  std::uint64_t degree_int = 0;
+};
+
+/// The SVM serving kernel for nq row-major queries of `dims` doubles:
+///   sums[(q·classes + a)·(classes − 1) + r] = Σ_{j in block a}
+///                                             coef[r][j] · K(x_q, row j)
+/// Class blocks run outermost, groups of up to kMaxQueries queries
+/// inside, so each block is read from memory once per call.  `krow` is
+/// kMaxQueries × rows scratch; when nq == 1 it ends holding the query's
+/// kernel row, krow[j] = K(x, row j).  `sums` may be null (kernel rows
+/// only; nq must then be 1).  Every value of query q is computed by the
+/// same operations in the same order whatever nq is and wherever q sits
+/// in the call, so a batch reproduces single-query results bit for bit
+/// under one ISA.
+void svm_block_sums(const SvmBlocks& model, const double* queries,
+                    std::size_t nq, double* krow, double* sums);
 
 }  // namespace xdmodml::simd

@@ -13,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -245,13 +246,184 @@ void poly_row_transform_powi_avx2(double* dots, std::size_t n, double gamma,
   for (; j < n; ++j) dots[j] = powi(gamma * dots[j] + coef0, degree);
 }
 
+// ---- class-blocked SVM serving kernel -------------------------------
+//
+// Class blocks run outermost: each block's panels and coefficient
+// columns are read from memory once and then reused from cache by every
+// 4-query group of the call (the whole pool plus coefficients outgrow
+// a 2 MiB L2 on the 20-class Table-2 model).
+//
+// Kernel rows: a pass holds P 4-row panels × NQ queries in NQ·P
+// accumulators (≤ 8 of the 16 ymm registers).  Per feature it loads the
+// P panel slices once and broadcasts each query's coordinate.  Lanes
+// are pool rows, so each (query, row) dot is ONE serial FMA chain over
+// the features — the tile shape only changes which chains run side by
+// side, never a chain's operations, and single == batch bit for bit.
+// P shrinks as NQ grows to keep eight chains in flight either way.
+//
+// Coefficient sums: R coefficient rows × NQ queries accumulate lane-wise
+// over the block's 4-aligned rows, then collapse with the fixed hsum
+// order; again the shape never reaches a chain.
+
+// K(x, ·) over one panel's four dot products (lanes = pool rows).
+inline __m256d kernel_form4(const SvmBlocks& m, __m256d dots, double x_sq,
+                            const double* sq_norms) {
+  switch (m.form) {
+    case KernelForm::kLinear:
+      return dots;
+    case KernelForm::kRbf: {
+      // Same lane math as rbf_row_transform_avx2.
+      __m256d d2 = _mm256_fnmadd_pd(
+          _mm256_set1_pd(2.0), dots,
+          _mm256_add_pd(_mm256_set1_pd(x_sq), _mm256_loadu_pd(sq_norms)));
+      d2 = _mm256_max_pd(_mm256_setzero_pd(), d2);
+      return exp4(_mm256_mul_pd(_mm256_set1_pd(-m.gamma), d2));
+    }
+    case KernelForm::kPolyIntegral: {
+      const __m256d base = _mm256_add_pd(
+          _mm256_mul_pd(_mm256_set1_pd(m.gamma), dots),
+          _mm256_set1_pd(m.coef0));
+      __m256d result = _mm256_set1_pd(1.0);
+      __m256d term = base;
+      for (std::uint64_t e = m.degree_int; e > 0; e >>= 1u) {
+        if (e & 1u) result = _mm256_mul_pd(result, term);
+        term = _mm256_mul_pd(term, term);
+      }
+      return result;
+    }
+    case KernelForm::kPolyReal: {
+      alignas(32) double lanes[4];
+      _mm256_store_pd(lanes, dots);
+      for (double& v : lanes) v = std::pow(m.gamma * v + m.coef0, m.degree);
+      return _mm256_load_pd(lanes);
+    }
+  }
+  return dots;  // unreachable
+}
+
+template <std::size_t NQ, std::size_t P>
+inline void kernel_panels(const SvmBlocks& m, const double* queries,
+                          const double* x_sq, std::size_t p0, double* krow) {
+  const std::size_t d = m.dims;
+  const double* base = m.panels + p0 * d * 4;
+  // One flat, fully unrolled accumulator set: GCC keeps it in registers
+  // only when every index is a constant (a 2-D array spills per FMA).
+  __m256d acc[NQ * P];
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < NQ * P; ++i) acc[i] = _mm256_setzero_pd();
+  for (std::size_t f = 0; f < d; ++f) {
+    __m256d rows[P];
+#pragma GCC unroll 16
+    for (std::size_t p = 0; p < P; ++p) {
+      rows[p] = _mm256_loadu_pd(base + (p * d + f) * 4);
+    }
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < NQ; ++q) {
+      const __m256d xq = _mm256_broadcast_sd(queries + q * d + f);
+#pragma GCC unroll 16
+      for (std::size_t p = 0; p < P; ++p) {
+        acc[q * P + p] = _mm256_fmadd_pd(xq, rows[p], acc[q * P + p]);
+      }
+    }
+  }
+  // Park the dots before the (large, not unrolled) transform loop.
+  alignas(32) double dots[NQ * P][4];
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < NQ * P; ++i) _mm256_store_pd(dots[i], acc[i]);
+  for (std::size_t q = 0; q < NQ; ++q) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t j = (p0 + p) * 4;
+      _mm256_storeu_pd(krow + q * m.rows + j,
+                       kernel_form4(m, _mm256_load_pd(dots[q * P + p]),
+                                    x_sq[q], m.sq_norms + j));
+    }
+  }
+}
+
+template <std::size_t NQ, std::size_t R>
+inline void coef_rows(const SvmBlocks& m, std::size_t a, std::size_t r0,
+                      const double* krow, double* sums) {
+  const std::size_t k1 = m.classes - 1;
+  __m256d acc[R][NQ];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < NQ; ++q) acc[r][q] = _mm256_setzero_pd();
+  }
+  for (std::size_t j = m.block[a]; j < m.block[a + 1]; j += 4) {
+    __m256d kv[NQ];
+    for (std::size_t q = 0; q < NQ; ++q) {
+      kv[q] = _mm256_loadu_pd(krow + q * m.rows + j);
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d cv = _mm256_loadu_pd(m.coef + (r0 + r) * m.rows + j);
+      for (std::size_t q = 0; q < NQ; ++q) {
+        acc[r][q] = _mm256_fmadd_pd(cv, kv[q], acc[r][q]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < NQ; ++q) {
+      sums[(q * m.classes + a) * k1 + r0 + r] = hsum(acc[r][q]);
+    }
+  }
+}
+
+// Class block a for one group of NQ queries.
+template <std::size_t NQ>
+void block_group(const SvmBlocks& m, std::size_t a, const double* queries,
+                 double* krow, double* sums) {
+  constexpr std::size_t kWide = NQ == 1 ? 8 : (NQ == 2 ? 5 : 3);
+  double x_sq[NQ];
+  for (std::size_t q = 0; q < NQ; ++q) {
+    x_sq[q] = squared_norm_avx2(queries + q * m.dims, m.dims);
+  }
+  const std::size_t end = m.block[a + 1] / 4;
+  std::size_t p = m.block[a] / 4;
+  for (; p + kWide <= end; p += kWide) {
+    kernel_panels<NQ, kWide>(m, queries, x_sq, p, krow);
+  }
+  for (; p < end; ++p) kernel_panels<NQ, 1>(m, queries, x_sq, p, krow);
+  if (sums == nullptr) return;
+  const std::size_t k1 = m.classes - 1;
+  std::size_t r = 0;
+  for (; r + kWide <= k1; r += kWide) {
+    coef_rows<NQ, kWide>(m, a, r, krow, sums);
+  }
+  for (; r < k1; ++r) coef_rows<NQ, 1>(m, a, r, krow, sums);
+}
+
+void svm_block_sums_avx2(const SvmBlocks& m, const double* queries,
+                         std::size_t nq, double* krow, double* sums) {
+  const std::size_t per_query = m.classes * (m.classes - 1);
+  for (std::size_t a = 0; a < m.classes; ++a) {
+    for (std::size_t q0 = 0; q0 < nq; q0 += kMaxQueries) {
+      const double* x = queries + q0 * m.dims;
+      double* s = sums == nullptr ? nullptr : sums + q0 * per_query;
+      switch (std::min(kMaxQueries, nq - q0)) {
+        case 1:
+          block_group<1>(m, a, x, krow, s);
+          break;
+        case 2:
+          block_group<2>(m, a, x, krow, s);
+          break;
+        case 3:
+          block_group<3>(m, a, x, krow, s);
+          break;
+        default:
+          block_group<4>(m, a, x, krow, s);
+          break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const Ops* avx2_ops() {
   static constexpr Ops ops{dot_avx2,          dot_rows_avx2,
                            squared_norm_avx2, exp_inplace_avx2,
                            rbf_row_transform_avx2,
-                           poly_row_transform_powi_avx2};
+                           poly_row_transform_powi_avx2,
+                           svm_block_sums_avx2};
   return &ops;
 }
 

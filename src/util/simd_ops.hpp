@@ -4,13 +4,17 @@
 // scalar table and the startup selection, `simd_<isa>.cpp` owns that
 // ISA's table behind a compile-time gate (returning nullptr when the
 // translation unit was built without the ISA).  Adding a new target —
-// AVX-512, NEON — means one new source file implementing these five
+// AVX-512, NEON — means one new source file implementing these seven
 // entry points plus a line in the selection ladder; the public API in
 // simd.hpp never changes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+
+namespace xdmodml::simd {
+struct SvmBlocks;
+}
 
 namespace xdmodml::simd::detail {
 
@@ -24,6 +28,8 @@ struct Ops {
                             double);
   void (*poly_row_transform_powi)(double*, std::size_t, double, double,
                                   std::uint64_t);
+  void (*svm_block_sums)(const SvmBlocks&, const double*, std::size_t,
+                         double*, double*);
 };
 
 /// Always present.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -279,6 +281,56 @@ TEST_F(ServiceTest, MetricsSnapshotMatchesIngestTallies) {
   EXPECT_EQ(service.report().find("-- metrics snapshot --"),
             std::string::npos);
   obs::set_enabled(prev_enabled);
+}
+
+// A crafted forest stream whose leaf distributions hold 1.5e17 loads
+// (the forest loader does not check leaf probabilities), so the
+// service's output contract is what keeps the job from being
+// attributed: it must fail, count service.invalid_output and be
+// dead-lettered, on both ingest paths.
+TEST_F(ServiceTest, InvalidModelOutputFailsInsteadOfAttributing) {
+  std::stringstream saved;
+  (*clf_)->save(saved);
+  std::istringstream lines(saved.str());
+  std::ostringstream crafted;
+  std::string line;
+  while (std::getline(lines, line)) {
+    // Leaf distributions are "p <n> <v1> ... <vn>": poison v1.
+    if (line.rfind("p ", 0) == 0 && line != "p 0") {
+      std::istringstream fields(line.substr(2));
+      std::size_t n = 0;
+      double first = 0.0;
+      fields >> n >> first;
+      std::string rest;
+      std::getline(fields, rest);
+      line = "p " + std::to_string(n) + " 1.5e17" + rest;
+    }
+    crafted << line << '\n';
+  }
+  std::istringstream in(crafted.str());
+  const auto bad =
+      std::make_shared<const JobClassifier>(JobClassifier::load(in));
+  const auto job = gen_->generate_na(1, /*community_fraction=*/1.0)
+                       .front()
+                       .summary;
+  ASSERT_GT(bad->predict(job).probability, 1.0);  // the model serves garbage
+
+  auto& invalid =
+      obs::MetricsRegistry::instance().counter("service.invalid_output");
+  const std::uint64_t before = invalid.value();
+  ClassificationService service(bad, 0.5);
+  std::vector<ClassificationService::IngestResult> results;
+  results.push_back(service.ingest(job));
+  for (auto& r : service.ingest_batch({job, job})) results.push_back(r);
+  for (const auto& r : results) {
+    EXPECT_EQ(r.outcome, ClassificationService::Outcome::kFailed);
+    EXPECT_NE(r.error.find("invalid model output"), std::string::npos)
+        << r.error;
+  }
+  EXPECT_EQ(service.stats().attributed, 0u);
+  EXPECT_EQ(service.stats().failed, 3u);
+  EXPECT_EQ(service.warehouse()->dead_letters().size(), 3u);
+  EXPECT_EQ(invalid.value() - before, 3u);
 }
 
 TEST_F(ServiceTest, Validation) {

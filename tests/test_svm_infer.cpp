@@ -1,10 +1,11 @@
 // Differential tests for the compiled SVM inference plan (ml/svm_plan):
-// the compiled path (deduplicated support-vector pool + SIMD kernel
-// rows + sparse per-machine reduction) must agree with the legacy
-// per-machine scalar kernel walk across kernels, pool precisions,
-// ISAs, batch shapes, serialization round trips and concurrent first
-// use.  Registered under the `tier1-infer` ctest label, plus an
-// XDMODML_SIMD=scalar environment rerun.
+// the compiled path (class-blocked deduplicated support-vector pool +
+// the simd::svm_block_sums kernel) must agree with the legacy
+// per-machine scalar kernel walk across kernels, ISAs, batch shapes,
+// serialization round trips and concurrent first use; batches must
+// reproduce single queries bit for bit, also through an SVM-backed
+// ClassificationService.  Registered under the `tier1-infer` ctest
+// label, plus an XDMODML_SIMD=scalar environment rerun.
 #include "ml/svm_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -15,11 +16,15 @@
 #include <thread>
 #include <vector>
 
+#include "core/classification_service.hpp"
 #include "ml/svm.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "workload/dataset_helpers.hpp"
+#include "workload/generator.hpp"
 
 namespace xdmodml::ml {
 namespace {
@@ -53,40 +58,47 @@ class IsaGuard {
   simd::Isa prev_;
 };
 
+/// Every ISA this build and CPU can run.
+std::vector<simd::Isa> available_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (simd::available(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
+  return isas;
+}
+
+std::vector<double> blob_row(Rng& rng, double cx, double sd) {
+  return {rng.normal(cx, sd), rng.normal(cx * 0.5, sd), rng.normal(-cx, sd),
+          rng.normal(0.0, sd), rng.normal(cx * 0.25, sd)};
+}
+
 // Five features so the SIMD 4-lane kernels exercise a remainder lane.
 void make_blobs5(std::size_t per_class, std::size_t classes, Matrix& X,
-                 std::vector<int>& y, std::uint64_t seed = 1) {
+                 std::vector<int>& y, double spacing = 3.5,
+                 std::uint64_t seed = 1) {
   Rng rng(seed);
   for (std::size_t c = 0; c < classes; ++c) {
-    const double cx = 3.5 * static_cast<double>(c);
     for (std::size_t i = 0; i < per_class; ++i) {
-      X.append_row(std::vector<double>{
-          rng.normal(cx, 0.8), rng.normal(cx * 0.5, 0.8),
-          rng.normal(-cx, 0.8), rng.normal(0.0, 0.8),
-          rng.normal(cx * 0.25, 0.8)});
+      X.append_row(blob_row(rng, spacing * static_cast<double>(c), 0.8));
       y.push_back(static_cast<int>(c));
     }
   }
 }
 
-Matrix probe_rows(std::size_t n, std::uint64_t seed = 77) {
+Matrix probe_rows(std::size_t n, std::size_t classes = 3,
+                  double spacing = 3.5, std::uint64_t seed = 77) {
   Rng rng(seed);
   Matrix probes;
   for (std::size_t i = 0; i < n; ++i) {
-    const double cx = 3.5 * static_cast<double>(i % 3);
-    probes.append_row(std::vector<double>{
-        rng.normal(cx, 1.2), rng.normal(cx * 0.5, 1.2),
-        rng.normal(-cx, 1.2), rng.normal(0.0, 1.2),
-        rng.normal(cx * 0.25, 1.2)});
+    probes.append_row(
+        blob_row(rng, spacing * static_cast<double>(i % classes), 1.2));
   }
   return probes;
 }
 
 SvmClassifier train_blobs(SvmConfig cfg, std::size_t classes = 3,
-                          std::size_t per_class = 25) {
+                          std::size_t per_class = 25, double spacing = 3.5) {
   Matrix X;
   std::vector<int> y;
-  make_blobs5(per_class, classes, X, y);
+  make_blobs5(per_class, classes, X, y, spacing);
   SvmClassifier clf(cfg, 5);
   clf.fit(X, y, static_cast<int>(classes));
   return clf;
@@ -99,6 +111,48 @@ SvmConfig infer_config(Kernel kernel, bool probability) {
   cfg.probability = probability;
   cfg.platt_cv_folds = 2;
   return cfg;
+}
+
+/// The plan's decision values for one query.
+std::vector<double> plan_decisions(const SvmInferencePlan& plan,
+                                   std::span<const double> x) {
+  SvmInferencePlan::Scratch scratch;
+  std::vector<double> out(plan.num_machines());
+  plan.decision_values(x.data(), 1, scratch, out.data());
+  return out;
+}
+
+/// Compiled vs legacy on every probe: per-machine decision values within
+/// `tol`, labels and vote labels identical, probabilities within `tol`.
+void expect_matches_legacy(const SvmClassifier& clf, const Matrix& probes,
+                           double tol) {
+  const auto& plan = clf.inference_plan();
+  for (std::size_t p = 0; p < probes.rows(); ++p) {
+    const auto x = probes.row(p);
+    const auto dec = plan_decisions(plan, x);
+    for (std::size_t m = 0; m < clf.num_machines(); ++m) {
+      EXPECT_NEAR(dec[m], clf.machine(m).decision_value(x), tol)
+          << "machine " << m << " probe " << p;
+    }
+    std::vector<double> legacy_proba;
+    int legacy_label = 0;
+    int legacy_votes = 0;
+    {
+      ModeGuard guard(SvmPredictMode::kLegacy);
+      legacy_proba = clf.predict_proba(x);
+      legacy_label = clf.predict(x);
+      legacy_votes = clf.predict_by_votes(x);
+    }
+    ModeGuard guard(SvmPredictMode::kCompiled);
+    EXPECT_EQ(clf.predict(x), legacy_label) << "probe " << p;
+    EXPECT_EQ(clf.predict_by_votes(x), legacy_votes) << "probe " << p;
+    const auto proba = clf.predict_proba(x);
+    ASSERT_EQ(proba.size(), legacy_proba.size());
+    for (std::size_t c = 0; c < proba.size(); ++c) {
+      EXPECT_NEAR(proba[c], legacy_proba[c], tol)
+          << "class " << c << " probe " << p;
+    }
+  }
 }
 
 TEST(SvmPredictMode, ParseAndNames) {
@@ -125,47 +179,28 @@ TEST(SvmPredictMode, SetOverrides) {
 // The core differential: for every kernel family, compiled labels /
 // vote labels match legacy exactly and decision values / probabilities
 // agree to 1e-10 (the compiled RBF path evaluates exp(−γ(‖x‖²+‖y‖²
-// −2x·y)) instead of exp(−γ‖x−y‖²), so bit-equality is not expected).
+// −2x·y)) over class blocks instead of exp(−γ‖x−y‖²) per machine, so
+// bit-equality is not expected).
 TEST(SvmInferDifferential, CompiledMatchesLegacyAcrossKernels) {
   const std::vector<Kernel> kernels = {
-      Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.5, 1.0)};
+      Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.5, 1.0),
+      Kernel::polynomial(2.5, 0.05, 3.0)};
   const Matrix probes = probe_rows(12);
   for (const auto& kernel : kernels) {
     for (const bool probability : {true, false}) {
-      const auto clf = train_blobs(infer_config(kernel, probability));
-      const auto& plan = clf.inference_plan();
-      std::vector<double> krow(plan.unique_support_vectors());
-      for (std::size_t p = 0; p < probes.rows(); ++p) {
-        const auto x = probes.row(p);
-        // Per-machine decision values.
-        plan.kernel_row(x, krow);
-        for (std::size_t m = 0; m < clf.num_machines(); ++m) {
-          const double legacy = clf.machine(m).decision_value(x);
-          EXPECT_NEAR(plan.decision_value(m, krow), legacy, 1e-10)
-              << kernel.name() << " machine " << m << " probe " << p;
-        }
-        // End-to-end labels, votes and probabilities.
-        std::vector<double> legacy_proba;
-        int legacy_label = 0;
-        int legacy_votes = 0;
-        {
-          ModeGuard guard(SvmPredictMode::kLegacy);
-          legacy_proba = clf.predict_proba(x);
-          legacy_label = clf.predict(x);
-          legacy_votes = clf.predict_by_votes(x);
-        }
-        ModeGuard guard(SvmPredictMode::kCompiled);
-        EXPECT_EQ(clf.predict(x), legacy_label);
-        EXPECT_EQ(clf.predict_by_votes(x), legacy_votes);
-        const auto proba = clf.predict_proba(x);
-        ASSERT_EQ(proba.size(), legacy_proba.size());
-        for (std::size_t c = 0; c < proba.size(); ++c) {
-          EXPECT_NEAR(proba[c], legacy_proba[c], 1e-10)
-              << kernel.name() << " class " << c << " probe " << p;
-        }
-      }
+      SCOPED_TRACE(kernel.name() + (probability ? " proba" : " votes"));
+      expect_matches_legacy(train_blobs(infer_config(kernel, probability)),
+                            probes, 1e-10);
     }
   }
+}
+
+// The paper's shape: 20 classes, 190 machines, 19 coefficient rows.
+TEST(SvmInferDifferential, TwentyClassModelMatchesLegacy) {
+  const auto clf =
+      train_blobs(infer_config(Kernel::rbf(0.3), true), 20, 12, 1.2);
+  ASSERT_EQ(clf.num_machines(), 190u);
+  expect_matches_legacy(clf, probe_rows(40, 20, 1.2), 1e-10);
 }
 
 // The scalar ISA must reproduce the vector ISA through the plan (both
@@ -191,70 +226,52 @@ TEST(SvmInferDifferential, ScalarIsaMatchesVectorIsa) {
   }
 }
 
-// Float32 pool: labels identical, decision values within a tolerance
-// scaled by the machine's coefficient mass (coordinate quantization is
-// ~1e-7 relative; the kernel error it induces is amplified by Σ|coef|).
-TEST(SvmInferDifferential, Float32PoolCloseToFloat64) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
-  const auto& f64 = clf.inference_plan();
-  ASSERT_EQ(f64.precision(), GramPrecision::kFloat64);
-  std::vector<double> krow64(f64.unique_support_vectors());
-
-  auto clf32 = clf;  // copies re-derive their plan
-  clf32.set_plan_precision(GramPrecision::kFloat32);
-  const auto& f32 = clf32.inference_plan();
-  ASSERT_EQ(f32.precision(), GramPrecision::kFloat32);
-  EXPECT_EQ(f32.unique_support_vectors(), f64.unique_support_vectors());
-  EXPECT_EQ(f32.pool_bytes() * 2, f64.pool_bytes());
-  std::vector<double> krow32(f32.unique_support_vectors());
-
-  const Matrix probes = probe_rows(10);
-  for (std::size_t p = 0; p < probes.rows(); ++p) {
-    const auto x = probes.row(p);
-    f64.kernel_row(x, krow64);
-    f32.kernel_row(x, krow32);
-    for (std::size_t m = 0; m < clf.num_machines(); ++m) {
-      double mag = 0.0;
-      for (const double c : f64.machine(m).coef) mag += std::abs(c);
-      EXPECT_NEAR(f32.decision_value(m, krow32),
-                  f64.decision_value(m, krow64), 1e-4 * (1.0 + mag));
-    }
-    EXPECT_EQ(clf32.predict(x), clf.predict(x));
-  }
-}
-
-// The batched sweep evaluates each query independently of its block, so
-// batch results are bit-identical to the single-row compiled calls.
+// A single query is the compiled batch of one, and the kernel's
+// per-query arithmetic does not depend on how many queries share a
+// call or where a query sits in it: batches of every shape equal the
+// single-row calls bit for bit (EXPECT_EQ on doubles), under each ISA.
 TEST(SvmInferBatch, BatchMatchesSingleExactly) {
   ModeGuard mode(SvmPredictMode::kCompiled);
+  const Matrix all = probe_rows(515);
   for (const bool probability : {true, false}) {
     const auto clf =
         train_blobs(infer_config(Kernel::rbf(0.3), probability));
-    // 13 rows: exercises a partial trailing query block (13 = 8 + 5).
-    const Matrix probes = probe_rows(13);
-    const auto batch_labels = clf.predict_batch(probes);
-    const auto batch_proba = clf.predict_proba_batch(probes);
-    const auto batch_pred = clf.predict_batch_with_probability(probes);
-    ASSERT_EQ(batch_labels.size(), probes.rows());
-    ASSERT_EQ(batch_proba.size(), probes.rows());
-    ASSERT_EQ(batch_pred.size(), probes.rows());
-    for (std::size_t p = 0; p < probes.rows(); ++p) {
-      const auto x = probes.row(p);
-      EXPECT_EQ(batch_labels[p], clf.predict(x));
-      const auto single = clf.predict_proba(x);
-      ASSERT_EQ(batch_proba[p].size(), single.size());
-      for (std::size_t c = 0; c < single.size(); ++c) {
-        EXPECT_DOUBLE_EQ(batch_proba[p][c], single[c]);
+    for (const auto isa : available_isas()) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) +
+                   (probability ? " proba" : " votes"));
+      IsaGuard guard(isa);
+      std::vector<std::vector<double>> single_proba;
+      std::vector<Prediction> single_pred;
+      std::vector<int> single_label;
+      for (std::size_t p = 0; p < all.rows(); ++p) {
+        single_proba.push_back(clf.predict_proba(all.row(p)));
+        single_pred.push_back(clf.predict_with_probability(all.row(p)));
+        single_label.push_back(clf.predict(all.row(p)));
       }
-      const auto pred = clf.predict_with_probability(x);
-      EXPECT_EQ(batch_pred[p].label, pred.label);
-      EXPECT_DOUBLE_EQ(batch_pred[p].probability, pred.probability);
+      for (const std::size_t b : {1, 2, 3, 4, 5, 8, 9, 513}) {
+        const std::size_t offset = b % 3;  // shift rows across tiles
+        Matrix X;
+        for (std::size_t p = 0; p < b; ++p) X.append_row(all.row(offset + p));
+        const auto batch_labels = clf.predict_batch(X);
+        const auto batch_proba = clf.predict_proba_batch(X);
+        const auto batch_pred = clf.predict_batch_with_probability(X);
+        ASSERT_EQ(batch_labels.size(), b);
+        ASSERT_EQ(batch_proba.size(), b);
+        ASSERT_EQ(batch_pred.size(), b);
+        for (std::size_t p = 0; p < b; ++p) {
+          const std::size_t row = offset + p;
+          EXPECT_EQ(batch_labels[p], single_label[row]) << "B=" << b;
+          EXPECT_EQ(batch_proba[p], single_proba[row]) << "B=" << b;
+          EXPECT_EQ(batch_pred[p].label, single_pred[row].label);
+          EXPECT_EQ(batch_pred[p].probability, single_pred[row].probability)
+              << "B=" << b << " row " << row;
+        }
+      }
     }
   }
 }
 
-TEST(SvmInferPlan, DedupStatsAndProvenanceKeying) {
+TEST(SvmInferPlan, DedupStatsAndClassBlocks) {
   ModeGuard mode(SvmPredictMode::kCompiled);
   // Default config: one-vs-one machines share the per-fit Gram cache,
   // so every machine carries full-matrix provenance.
@@ -262,14 +279,23 @@ TEST(SvmInferPlan, DedupStatsAndProvenanceKeying) {
   const auto& plan = clf.inference_plan();
   EXPECT_TRUE(plan.provenance_keyed());
   EXPECT_EQ(plan.total_support_vectors(), clf.total_support_vectors());
-  EXPECT_LE(plan.unique_support_vectors(), plan.total_support_vectors());
-  EXPECT_GE(plan.dedup_ratio(), 1.0);
+  EXPECT_EQ(plan.num_machines(), clf.num_machines());
   EXPECT_EQ(plan.dims(), 5u);
-  EXPECT_EQ(plan.pool_bytes(),
-            plan.unique_support_vectors() * 5 * sizeof(double));
   // A 3-class one-vs-one fit reuses training rows across pairs; some
   // dedup must happen for the pool to be worth building.
   EXPECT_LT(plan.unique_support_vectors(), plan.total_support_vectors());
+  EXPECT_GT(plan.dedup_ratio(), 1.0);
+  // Class blocks partition the unique SVs, each padded to whole 4-row
+  // panels of pool storage.
+  std::size_t unique = 0;
+  std::size_t padded = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_GT(plan.class_support_vectors(c), 0u) << "class " << c;
+    unique += plan.class_support_vectors(c);
+    padded += (plan.class_support_vectors(c) + 3) / 4 * 4;
+  }
+  EXPECT_EQ(unique, plan.unique_support_vectors());
+  EXPECT_EQ(plan.pool_bytes(), padded * 5 * sizeof(double));
 }
 
 TEST(SvmInferPlan, RoundTripPreservesUniqueCount) {
@@ -312,38 +338,62 @@ TEST(SvmInferPlan, RoundTripPreservesUniqueCount) {
   }
 }
 
-// A crafted v1 stream (no provenance vectors) must still load, and its
-// plan must content-dedup the shared support vector across machines.
-TEST(SvmInferPlan, V1StreamLoadsAndContentDedups) {
+// A crafted v1 stream (no provenance vectors) in which the row (1, 2)
+// is an SV of class 0 (machines (0,1) and (0,2), positive coefficients)
+// AND of class 1 (machine (1,2), positive coefficient).  Content dedup
+// must key on (class, row): one slot per class block, else machine
+// (1,2)'s class-1 coefficient would land in class 0's block.  Row
+// (3, 4) supports class 1 in two machines and must merge.
+TEST(SvmInferPlan, V1StreamDedupKeysOnClassAndRow) {
   ModeGuard mode(SvmPredictMode::kCompiled);
-  const auto machine = [](double rho) {
+  const auto machine = [](double rho, const std::string& coef,
+                          const std::string& rows) {
     return "binary-svm-v1\nkernel_type 1\ngamma 0.5\ndegree 3\ncoef0 0\n"
-           "rho " +
-           std::to_string(rho) +
-           "\nhas_platt 1\nplatt_a -2\nplatt_b 0\nsvs 1\ndims 2\n"
-           "coef 1 1\nsv 2 1 2\n";
+           "rho " + std::to_string(rho) +
+           "\nhas_platt 1\nplatt_a -2\nplatt_b 0\n" + coef + "\ndims 2\n" +
+           rows;
   };
-  std::stringstream stream("svm-ovo-v1\nclasses 3\nprobability 1\n"
-                           "machines 3\n" +
-                           machine(0.1) + machine(0.2) + machine(0.3));
+  std::stringstream stream(
+      "svm-ovo-v1\nclasses 3\nprobability 1\nmachines 3\n" +
+      machine(0.1, "svs 2", "coef 2 1 -1\nsv 2 1 2\nsv 2 3 4\n") +
+      machine(0.2, "svs 2", "coef 2 1 -0.5\nsv 2 1 2\nsv 2 5 6\n") +
+      machine(0.3, "svs 3",
+              "coef 3 0.5 1 -1.5\nsv 2 1 2\nsv 2 3 4\nsv 2 5 6\n"));
   const auto clf = SvmClassifier::load(stream);
   const auto& plan = clf.inference_plan();
   EXPECT_FALSE(plan.provenance_keyed());
-  EXPECT_EQ(plan.total_support_vectors(), 3u);
-  EXPECT_EQ(plan.unique_support_vectors(), 1u);
-  EXPECT_NEAR(plan.dedup_ratio(), 3.0, 1e-12);
-  const std::vector<double> x{1.0, 2.0};
-  int legacy_label = 0;
-  std::vector<double> legacy_proba;
-  {
-    ModeGuard legacy(SvmPredictMode::kLegacy);
-    legacy_label = clf.predict(x);
-    legacy_proba = clf.predict_proba(x);
+  EXPECT_EQ(plan.total_support_vectors(), 7u);
+  EXPECT_EQ(plan.unique_support_vectors(), 4u);
+  EXPECT_EQ(plan.class_support_vectors(0), 1u);  // (1,2)
+  EXPECT_EQ(plan.class_support_vectors(1), 2u);  // (3,4), (1,2)
+  EXPECT_EQ(plan.class_support_vectors(2), 1u);  // (5,6)
+  Matrix probes;
+  for (const auto& x : std::vector<std::vector<double>>{
+           {1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}, {2.0, 3.0}, {0.0, 0.0}}) {
+    probes.append_row(x);
   }
-  EXPECT_EQ(clf.predict(x), legacy_label);
-  const auto proba = clf.predict_proba(x);
-  for (std::size_t c = 0; c < proba.size(); ++c) {
-    EXPECT_NEAR(proba[c], legacy_proba[c], 1e-10);
+  expect_matches_legacy(clf, probes, 1e-10);
+}
+
+// The allocation-free coupling path and the public Matrix wrapper run
+// the same arithmetic: bit-identical output, with one scratch reused
+// across calls of growing and shrinking k.
+TEST(SvmCoupling, ScratchMatchesMatrixWrapperExactly) {
+  Rng rng(9);
+  CouplingScratch scratch;
+  for (const std::size_t k : {3, 20, 1, 2, 7, 4}) {
+    Matrix pairwise(k, k, 0.0);
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) {
+        const double r = std::min(std::max(rng.uniform(), 1e-7), 1.0 - 1e-7);
+        pairwise(a, b) = r;
+        pairwise(b, a) = 1.0 - r;
+      }
+    }
+    const auto wrapped = couple_pairwise_probabilities(pairwise);
+    std::vector<double> direct(k, -1.0);
+    couple_pairwise_probabilities(pairwise.data(), k, scratch, direct);
+    EXPECT_EQ(direct, wrapped) << "k=" << k;
   }
 }
 
@@ -382,10 +432,7 @@ TEST(SvmInferConcurrency, ConcurrentFirstUseBuildsOnce) {
   EXPECT_EQ(builds.value(), builds_before + 1);
   ASSERT_NE(fresh.plan_if_built(), nullptr);
   EXPECT_EQ(labels, ref_labels);
-  ASSERT_EQ(proba.size(), ref_proba.size());
-  for (std::size_t c = 0; c < proba.size(); ++c) {
-    EXPECT_DOUBLE_EQ(proba[c], ref_proba[c]);
-  }
+  EXPECT_EQ(proba, ref_proba);
 }
 
 TEST(SvmInferPlan, EagerAfterFitLazyAfterLoad) {
@@ -412,9 +459,118 @@ TEST(SvmInferPlan, RejectsUntrainedAndMismatchedProbes) {
   std::vector<double> krow(plan.unique_support_vectors());
   const std::vector<double> narrow{1.0, 2.0};
   EXPECT_THROW(plan.kernel_row(narrow, krow), InvalidArgument);
+  EXPECT_THROW(trained.predict_proba(narrow), InvalidArgument);
+  EXPECT_THROW(trained.predict_batch(Matrix(3, 2, 0.0)), InvalidArgument);
   std::vector<double> short_out(plan.unique_support_vectors() - 1);
   const std::vector<double> x(5, 0.0);
   EXPECT_THROW(plan.kernel_row(x, short_out), InvalidArgument);
+}
+
+// ---- SVM-backed service --------------------------------------------------
+
+class SvmServiceTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    set_svm_predict_mode(SvmPredictMode::kCompiled);
+    workload::WorkloadGenerator gen(
+        workload::WorkloadGenerator::standard({}, 55));
+    const auto schema = supremm::AttributeSchema::full();
+    const auto train = workload::build_summary_dataset(
+        gen.generate_balanced(8), schema, supremm::label_by_application());
+    core::JobClassifierConfig cfg;
+    cfg.algorithm = core::Algorithm::kSvm;
+    cfg.svm.c = 10.0;
+    cfg.svm.platt_cv_folds = 2;
+    auto clf = std::make_shared<core::JobClassifier>(cfg);
+    clf->train(train);
+    clf_ = new std::shared_ptr<const core::JobClassifier>(std::move(clf));
+    stream_ = new std::vector<supremm::JobSummary>();
+    for (const auto& job : gen.generate_native(10)) {
+      stream_->push_back(job.summary);
+    }
+    for (const auto& job : gen.generate_na(50, 0.8)) {
+      stream_->push_back(job.summary);
+    }
+    for (const auto& job : gen.generate_uncategorized(17)) {
+      stream_->push_back(job.summary);
+    }
+  }
+  static void TearDownTestSuite() {
+    delete clf_;
+    delete stream_;
+    clf_ = nullptr;
+    stream_ = nullptr;
+  }
+  void SetUp() override { fp::reset(); }
+  void TearDown() override { fp::reset(); }
+
+  using Result = core::ClassificationService::IngestResult;
+  static void expect_same(const std::vector<Result>& got,
+                          const std::vector<Result>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].outcome, want[i].outcome) << "job " << i;
+      EXPECT_EQ(got[i].prediction.label, want[i].prediction.label);
+      EXPECT_EQ(got[i].prediction.class_name, want[i].prediction.class_name);
+      EXPECT_EQ(got[i].prediction.probability, want[i].prediction.probability)
+          << "job " << i;
+      EXPECT_EQ(got[i].error, want[i].error);
+    }
+  }
+
+  static std::shared_ptr<const core::JobClassifier>* clf_;
+  static std::vector<supremm::JobSummary>* stream_;
+};
+std::shared_ptr<const core::JobClassifier>* SvmServiceTest::clf_ = nullptr;
+std::vector<supremm::JobSummary>* SvmServiceTest::stream_ = nullptr;
+
+// ingest_batch (one batched SVM call) ≡ a serial ingest loop (one
+// compiled single query per job), bit for bit, warehouse included.
+TEST_F(SvmServiceTest, IngestBatchEqualsSerialIngest) {
+  for (const auto isa : available_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    IsaGuard guard(isa);
+    core::ClassificationService serial(*clf_, 0.5);
+    std::vector<Result> want;
+    for (const auto& job : *stream_) want.push_back(serial.ingest(job));
+    core::ClassificationService batched(*clf_, 0.5);
+    expect_same(batched.ingest_batch(*stream_), want);
+    EXPECT_GT(serial.stats().attributed + serial.stats().unresolved, 50u);
+    EXPECT_EQ(batched.stats().attributed, serial.stats().attributed);
+    EXPECT_EQ(batched.stats().unresolved, serial.stats().unresolved);
+    EXPECT_EQ(batched.stats().identified, serial.stats().identified);
+    EXPECT_EQ(batched.attributed_cpu_hours(), serial.attributed_cpu_hours());
+    EXPECT_EQ(batched.warehouse()->size(), serial.warehouse()->size());
+  }
+}
+
+// A `thread_pool.chunk` fault raised inside the model's batch sweep
+// surfaces from the batched model call, and the service recovers with
+// a serial pass whose results equal the fault-free run exactly.
+TEST_F(SvmServiceTest, ChunkFaultInBatchSweepFallsBackExactly) {
+  core::ClassificationService golden(*clf_, 0.5);
+  const auto want = golden.ingest_batch(*stream_);
+
+  const auto& schema = (*clf_)->schema();
+  Matrix features;
+  for (const auto& job : *stream_) features.append_row(job.extract(schema));
+  fp::arm_from_spec("thread_pool.chunk=error(3)*1", /*seed=*/7);
+  EXPECT_THROW((*clf_)->predict_features_batch(features), fp::FailpointError);
+  fp::reset();
+
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto before = registry.snapshot();
+  fp::arm_from_spec("thread_pool.chunk=error(3)*1", /*seed=*/7);
+  core::ClassificationService faulted(*clf_, 0.5);
+  const auto got = faulted.ingest_batch(*stream_);
+  EXPECT_EQ(fp::site_stats("thread_pool.chunk").triggers, 1u);
+  fp::disarm_all();
+  const auto after = registry.snapshot();
+  EXPECT_EQ(after.counter("fail.service.batch") -
+                before.counter("fail.service.batch"),
+            1u);
+  expect_same(got, want);
+  EXPECT_EQ(faulted.stats().failed, 0u);
 }
 
 }  // namespace
