@@ -9,8 +9,8 @@
 //      ISA forced to scalar to isolate the AVX2 contribution;
 //   2. one binary RBF SMO solve with shrinking off vs on;
 //   3. the paper's 20-class one-vs-one RBF fit (γ = 0.1, C = 1000) on
-//      the scalar path vs the full engine + shared-cache + shrinking
-//      path — the headline speedup.
+//      the engine + shared-cache + shrinking path (the only one the
+//      classifier has).
 // Every op is a median over warmed-up repeats (time_median_ms), and the
 // JSON rows carry the repeat count.  Sizes honour XDMODML_SCALE like
 // every other bench.
@@ -160,22 +160,11 @@ void run_experiment() {
   json.record("bench_smo_solver", "smo_binary_shrink", smo_on_t.median_ms, nb,
               threads, smo_on_t.repeats);
 
-  // ---- 3. 20-class one-vs-one fit: scalar path vs engine path ------
+  // ---- 3. 20-class one-vs-one fit -----------------------------------
   // Probability mode on (the default and the paper's Figures 1–4
   // workflow): every machine also trains Platt CV folds, so the shared
   // cache amortises each Gram row across machine + folds.
-  ml::SvmConfig scalar_cfg;
-  scalar_cfg.gram_engine = false;
-  scalar_cfg.share_kernel_cache = false;
-  scalar_cfg.smo.shrinking = false;
-  ml::SvmConfig engine_cfg;
-
-  const auto ovo_scalar_t = time_median_ms(
-      [&] {
-        ml::SvmClassifier clf(scalar_cfg);
-        clf.fit(ds.X, ds.labels, static_cast<int>(ds.num_classes()));
-      },
-      3);
+  const ml::SvmConfig engine_cfg;
   const auto ovo_engine_t = time_median_ms(
       [&] {
         ml::SvmClassifier clf(engine_cfg);
@@ -187,14 +176,8 @@ void run_experiment() {
       "%zu):\n",
       n, ds.num_classes() * (ds.num_classes() - 1) / 2,
       ovo_engine_t.repeats);
-  std::printf("  pre-PR scalar path        : %9.2f ms\n",
-              ovo_scalar_t.median_ms);
-  std::printf("  engine + shared + shrink  : %9.2f ms\n",
+  std::printf("  engine + shared + shrink  : %9.2f ms\n\n",
               ovo_engine_t.median_ms);
-  std::printf("  speedup                   : %9.2fx\n\n",
-              ovo_scalar_t.median_ms / ovo_engine_t.median_ms);
-  json.record("bench_smo_solver", "ovo20_fit_scalar", ovo_scalar_t.median_ms,
-              n, threads, ovo_scalar_t.repeats);
   json.record("bench_smo_solver", "ovo20_fit_engine", ovo_engine_t.median_ms,
               n, threads, ovo_engine_t.repeats);
   json.write();

@@ -1,30 +1,26 @@
 // Compiled SVM inference plan: single-query and batched prediction
-// throughput, compiled vs legacy, SIMD vs scalar.
+// throughput, SIMD vs scalar.
 //
 // The paper's deployment story pushes every unidentified job through a
 // 20-class one-vs-one SVM (190 machines, rbf γ=0.1, C=1000).  The
-// legacy path evaluates K(x, sv) machine by machine, re-touching every
-// duplicated support vector; the compiled plan (DESIGN.md §12) fuses
-// all machines into one deduplicated, class-blocked SV pool and runs
-// one register-tiled kernel: kernel rows for up to four queries, then
-// dense class-block coefficient sums.  This bench trains the Table-2
-// model, gates on correctness — labels identical to legacy, f64
-// decision values within 1e-10, batch == single bit for bit, dedup
-// > 2× — and times five arms:
+// fitted model is one deduplicated, class-blocked SV pool (DESIGN.md
+// §12) swept by one register-tiled kernel: kernel rows for up to four
+// queries, then dense class-block coefficient sums.  This bench trains
+// the Table-2 model, gates on correctness — batch == single bit for
+// bit, save → load → predict bit-identical, dedup > 2× — and times
+// three arms:
 //
-//   legacy_single / legacy_batch      — old path (native ISA)
-//   legacy_single_scalar              — old path, XDMODML_SIMD=scalar
 //   compiled_single / compiled_batch  — plan path (native ISA)
 //   compiled_batch_scalar             — plan path, scalar microkernels
 //
-// A failed gate prints ERROR, skips the timings and exits 1.  Compiled+SIMD
-// batched predict_proba should run ≥ 3× the legacy-scalar throughput.
+// A failed gate prints ERROR, skips the timings and exits 1.  The
+// decision-value differential against a per-machine walk lives in
+// test_svm_infer (tests/svm_reference.hpp).
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -90,15 +86,6 @@ double sweep_batch(const ml::SvmClassifier& svm, const Matrix& probes) {
 }
 
 bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kLegacy);
-  const auto legacy_labels = svm.predict_batch(probes);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
-  const auto compiled_labels = svm.predict_batch(probes);
-  if (legacy_labels != compiled_labels) {
-    std::printf("ERROR: legacy and compiled labels disagree\n");
-    return false;
-  }
-
   // A batch must reproduce single queries bit for bit.
   const auto batch = svm.predict_batch_with_probability(probes);
   for (std::size_t r = 0; r < probes.rows(); ++r) {
@@ -111,29 +98,20 @@ bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
     }
   }
 
-  // Per-machine decision values on a probe sample: the class-block
-  // coefficient sums must match the legacy machine-by-machine
-  // evaluation to 1e-10.
-  const auto& plan = svm.inference_plan();
-  ml::SvmInferencePlan::Scratch scratch;
-  std::vector<double> dec(plan.num_machines());
-  double max_diff = 0.0;
-  const std::size_t sample = probes.rows() < 32 ? probes.rows() : 32;
-  for (std::size_t r = 0; r < sample; ++r) {
-    const auto x = probes.row(r);
-    plan.decision_values(x.data(), 1, scratch, dec.data());
-    for (std::size_t m = 0; m < plan.num_machines(); ++m) {
-      const double diff = std::abs(dec[m] - svm.machine(m).decision_value(x));
-      if (diff > max_diff) max_diff = diff;
+  // The saved model is the plan: a reloaded copy predicts identically.
+  std::stringstream stream;
+  svm.save(stream);
+  const auto loaded = ml::SvmClassifier::load(stream);
+  const auto reloaded = loaded.predict_batch_with_probability(probes);
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    if (reloaded[r].label != batch[r].label ||
+        reloaded[r].probability != batch[r].probability) {
+      std::printf("ERROR: save/load changed the prediction of probe %zu\n",
+                  r);
+      return false;
     }
   }
-  std::printf("max |compiled - legacy| decision value: %.3g over %zu "
-              "probes x %zu machines\n",
-              max_diff, sample, plan.num_machines());
-  if (max_diff > 1e-10) {
-    std::printf("ERROR: f64 decision values diverge beyond 1e-10\n");
-    return false;
-  }
+  std::printf("saved model: %zu bytes\n\n", stream.str().size());
   return true;
 }
 
@@ -166,26 +144,17 @@ bool run_experiment() {
 
   struct Arm {
     const char* op;
-    ml::SvmPredictMode mode;
     simd::Isa isa;
     bool batch;
   };
   const Arm arms[] = {
-      {"legacy_single", ml::SvmPredictMode::kLegacy, best_isa, false},
-      {"legacy_single_scalar", ml::SvmPredictMode::kLegacy,
-       simd::Isa::kScalar, false},
-      {"legacy_batch", ml::SvmPredictMode::kLegacy, best_isa, true},
-      {"compiled_single", ml::SvmPredictMode::kCompiled, best_isa, false},
-      {"compiled_batch", ml::SvmPredictMode::kCompiled, best_isa, true},
-      {"compiled_batch_scalar", ml::SvmPredictMode::kCompiled,
-       simd::Isa::kScalar, true},
+      {"compiled_single", best_isa, false},
+      {"compiled_batch", best_isa, true},
+      {"compiled_batch_scalar", simd::Isa::kScalar, true},
   };
 
   TextTable table({"arm", "ms (median)", "probes/sec"});
-  double legacy_scalar_ms = 0.0;
-  double compiled_batch_ms = 0.0;
   for (const auto& arm : arms) {
-    ml::set_svm_predict_mode(arm.mode);
     simd::set_active(arm.isa);
     const auto t = time_median_ms(
         [&] {
@@ -194,42 +163,27 @@ bool run_experiment() {
         },
         /*repeats=*/3);
     simd::set_active(best_isa);
-    if (std::string_view(arm.op) == "legacy_single_scalar") {
-      legacy_scalar_ms = t.median_ms;
-    }
-    if (std::string_view(arm.op) == "compiled_batch") {
-      compiled_batch_ms = t.median_ms;
-    }
     json.record("bench_svm_infer", arm.op, t.median_ms, probes.rows(),
                 arm.batch ? threads : 1, t.repeats);
     table.add_row({arm.op, format_double(t.median_ms, 2),
                    format_double(n / t.median_ms * 1000.0, 0)});
   }
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   std::printf("%s", table.render().c_str());
-
-  const double speedup = legacy_scalar_ms / compiled_batch_ms;
-  std::printf("\ncompiled+SIMD batch vs legacy scalar: %.2fx "
-              "(gate: >= 3x)%s\n",
-              speedup, speedup >= 3.0 ? "" : "  *** BELOW GATE ***");
   return true;
 }
 
-void bm_legacy_single(benchmark::State& state) {
+void bm_compiled_single(benchmark::State& state) {
   const auto model = build_model(602, scaled(20), 100);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kLegacy);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sweep_single(model.svm, model.probes));
   }
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(model.probes.rows()));
 }
-BENCHMARK(bm_legacy_single)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_compiled_single)->Unit(benchmark::kMillisecond);
 
 void bm_compiled_batch(benchmark::State& state) {
   const auto model = build_model(602, scaled(20), 100);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sweep_batch(model.svm, model.probes));
   }

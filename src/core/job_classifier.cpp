@@ -55,16 +55,14 @@ std::string JobClassifier::model_info() const {
       << " classes";
   if (config_.algorithm == Algorithm::kSvm) {
     const auto& svm = static_cast<const ml::SvmClassifier&>(*model_);
-    out << ", " << svm.num_machines() << " machines, predict="
-        << ml::svm_predict_mode_name(ml::svm_predict_mode());
-    if (const auto plan = svm.plan_if_built()) {
-      std::ostringstream ratio;
-      ratio.precision(2);
-      ratio << std::fixed << plan->dedup_ratio();
-      out << ", plan " << plan->unique_support_vectors() << "/"
-          << plan->total_support_vectors() << " SVs (dedup " << ratio.str()
-          << "x, " << plan->pool_bytes() / 1024 << " KiB)";
-    }
+    const auto& plan = svm.inference_plan();
+    std::ostringstream ratio;
+    ratio.precision(2);
+    ratio << std::fixed << plan.dedup_ratio();
+    out << ", " << plan.num_machines() << " machines, plan "
+        << plan.unique_support_vectors() << "/"
+        << plan.total_support_vectors() << " SVs (dedup " << ratio.str()
+        << "x, " << plan.pool_bytes() / 1024 << " KiB)";
   }
   return out.str();
 }

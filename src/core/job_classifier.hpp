@@ -58,9 +58,8 @@ class JobClassifier {
   bool trained() const { return model_ != nullptr; }
 
   /// One-line description of the trained model for operational reports:
-  /// algorithm, class count, and — for the SVM — the active prediction
-  /// mode plus the compiled plan's pool stats when one has been built
-  /// (peeked via plan_if_built(); never forces a build).
+  /// algorithm, class count, and — for the SVM — the machine count and
+  /// the compiled plan's pool stats.
   std::string model_info() const;
 
   const std::vector<std::string>& class_names() const { return class_names_; }

@@ -1,5 +1,6 @@
 #include "ml/model_io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -7,6 +8,10 @@
 #include "util/error.hpp"
 
 namespace xdmodml::ml::io {
+
+namespace {
+constexpr std::int64_t kReserveCap = std::int64_t{1} << 16;
+}  // namespace
 
 void write_tag(std::ostream& out, const std::string& tag) {
   out << tag << '\n';
@@ -87,12 +92,15 @@ std::vector<std::size_t> TokenReader::read_index_vector(
   std::int64_t n = 0;
   XDMODML_CHECK(static_cast<bool>(in_ >> n) && n >= 0,
                 "model stream: bad index vector length for tag " + tag);
-  std::vector<std::size_t> values(static_cast<std::size_t>(n));
-  for (auto& v : values) {
+  // Reserve at most kReserveCap up front and grow as elements arrive: a
+  // corrupt length cannot allocate more than the stream actually holds.
+  std::vector<std::size_t> values;
+  values.reserve(static_cast<std::size_t>(std::min(n, kReserveCap)));
+  for (std::int64_t i = 0; i < n; ++i) {
     std::int64_t raw = 0;
     XDMODML_CHECK(static_cast<bool>(in_ >> raw) && raw >= 0,
                   "model stream: bad index element for tag " + tag);
-    v = static_cast<std::size_t>(raw);
+    values.push_back(static_cast<std::size_t>(raw));
   }
   return values;
 }
@@ -102,10 +110,13 @@ std::vector<double> TokenReader::read_vector(const std::string& tag) {
   std::int64_t n = 0;
   XDMODML_CHECK(static_cast<bool>(in_ >> n) && n >= 0,
                 "model stream: bad vector length for tag " + tag);
-  std::vector<double> values(static_cast<std::size_t>(n));
-  for (auto& v : values) {
+  std::vector<double> values;  // reserved and grown as above
+  values.reserve(static_cast<std::size_t>(std::min(n, kReserveCap)));
+  for (std::int64_t i = 0; i < n; ++i) {
+    double v = 0.0;
     XDMODML_CHECK(static_cast<bool>(in_ >> v),
                   "model stream: bad vector element for tag " + tag);
+    values.push_back(v);
   }
   return values;
 }

@@ -8,6 +8,11 @@
 // Each model class exposes `save(std::ostream&)` and a static
 // `load(std::istream&)`; this header provides the shared reader/writer
 // plumbing they use.
+//
+// `SvmClassifier` writes `svm-ovo-v2` (its class-blocked plan, see
+// ml/svm_plan.hpp); its loader reads v2 directly and converts
+// `svm-ovo-v1` (one binary-svm block per machine) through
+// `SvmInferencePlan::build`, with the same semantic validation on both.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <mutex>
 #include <numeric>
 #include <optional>
 
@@ -213,7 +212,7 @@ void BinarySvm::fit_decision(const Matrix& X, std::span<const signed char> y,
   problem.y = y;
   problem.c = c;
   std::optional<GramRowEngine> engine;
-  if (shared_cache != nullptr && shared_rows.size() == n) {
+  if (shared_cache != nullptr) {
     // One-vs-one sub-problem: slice this pair's rows/columns out of the
     // shared full-matrix cache instead of recomputing the kernels over
     // the gathered subset.
@@ -225,21 +224,13 @@ void BinarySvm::fit_decision(const Matrix& X, std::span<const signed char> y,
     problem.kernel_diag = [shared_cache, shared_rows](std::size_t i) {
       return shared_cache->diagonal(shared_rows[i]);
     };
-  } else if (config.gram_engine) {
+  } else {
     engine.emplace(X, config.kernel);
     problem.kernel_row = [&engine](std::size_t i, std::span<double> out) {
       engine->fill_row(i, out);
     };
     problem.kernel_diag = [&engine](std::size_t i) {
       return engine->diagonal(i);
-    };
-  } else {
-    // Scalar per-pair path (perf baseline / ablation arm).
-    problem.kernel_row = [&X, &config](std::size_t i, std::span<double> out) {
-      const auto xi = X.row(i);
-      for (std::size_t j = 0; j < X.rows(); ++j) {
-        out[j] = config.kernel(xi, X.row(j));
-      }
     };
   }
 
@@ -259,7 +250,7 @@ void BinarySvm::fit_decision(const Matrix& X, std::span<const signed char> y,
                static_cast<double>(y[sv_rows[s]]);
   }
   sv_full_rows_.clear();
-  if (shared_cache != nullptr && shared_rows.size() == n) {
+  if (shared_cache != nullptr) {
     sv_full_rows_.reserve(sv_rows.size());
     for (const auto r : sv_rows) sv_full_rows_.push_back(shared_rows[r]);
   }
@@ -396,33 +387,6 @@ const PlattSigmoid& BinarySvm::sigmoid() const {
   return platt_;
 }
 
-void BinarySvm::save(std::ostream& out) const {
-  XDMODML_CHECK(trained_, "cannot save an untrained SVM");
-  // v2 appends the full-matrix row provenance after the SV rows so a
-  // reloaded model can index-dedup its inference-plan pool; v1 files
-  // (no provenance) still load, falling back to content-hash dedup.
-  io::write_tag(out, "binary-svm-v2");
-  io::write_scalar(out, "kernel_type",
-                   static_cast<std::int64_t>(kernel_.type));
-  io::write_scalar(out, "gamma", kernel_.gamma);
-  io::write_scalar(out, "degree", kernel_.degree);
-  io::write_scalar(out, "coef0", kernel_.coef0);
-  io::write_scalar(out, "rho", rho_);
-  io::write_scalar(out, "has_platt",
-                   static_cast<std::int64_t>(has_platt_ ? 1 : 0));
-  io::write_scalar(out, "platt_a", platt_.a);
-  io::write_scalar(out, "platt_b", platt_.b);
-  io::write_scalar(out, "svs",
-                   static_cast<std::int64_t>(support_vectors_.rows()));
-  io::write_scalar(out, "dims",
-                   static_cast<std::int64_t>(support_vectors_.cols()));
-  io::write_vector(out, "coef", coef_);
-  for (std::size_t r = 0; r < support_vectors_.rows(); ++r) {
-    io::write_vector(out, "sv", support_vectors_.row(r));
-  }
-  io::write_index_vector(out, "full_rows", sv_full_rows_);
-}
-
 BinarySvm BinarySvm::load(std::istream& in) {
   io::TokenReader reader(in);
   const auto tag = reader.read_tag();
@@ -463,85 +427,10 @@ BinarySvm BinarySvm::load(std::istream& in) {
   return svm;
 }
 
-/// The lazily built compiled plan.  `once` serializes construction on
-/// concurrent first use; `plan` is additionally published under `m` so
-/// plan_if_built() can peek without entering the call_once.  Lives
-/// behind a unique_ptr because once_flag is immovable and the
-/// classifier must stay movable (load() returns by value).
-struct SvmClassifier::PlanSlot {
-  std::once_flag once;
-  mutable std::mutex m;
-  std::shared_ptr<const SvmInferencePlan> plan;
-};
-
-SvmClassifier::SvmClassifier(SvmConfig config, std::uint64_t seed)
-    : config_(config),
-      seed_(seed),
-      plan_slot_(std::make_unique<PlanSlot>()) {}
-
-SvmClassifier::~SvmClassifier() = default;
-SvmClassifier::SvmClassifier(SvmClassifier&&) noexcept = default;
-SvmClassifier& SvmClassifier::operator=(SvmClassifier&&) noexcept = default;
-
-SvmClassifier::SvmClassifier(const SvmClassifier& other)
-    : config_(other.config_),
-      seed_(other.seed_),
-      num_classes_(other.num_classes_),
-      machines_(other.machines_),
-      plan_slot_(std::make_unique<PlanSlot>()) {}
-
-SvmClassifier& SvmClassifier::operator=(const SvmClassifier& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    seed_ = other.seed_;
-    num_classes_ = other.num_classes_;
-    machines_ = other.machines_;
-    plan_slot_ = std::make_unique<PlanSlot>();
-  }
-  return *this;
-}
-
-const SvmInferencePlan& SvmClassifier::inference_plan() const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  PlanSlot& slot = *plan_slot_;
-  std::call_once(slot.once, [&] {
-    auto built = SvmInferencePlan::build(machines_, num_classes_);
-    const std::lock_guard<std::mutex> lock(slot.m);
-    slot.plan = std::move(built);
-  });
-  // call_once completion happens-before every post-once read: no lock.
-  return *slot.plan;
-}
-
-std::shared_ptr<const SvmInferencePlan> SvmClassifier::plan_if_built()
-    const {
-  if (plan_slot_ == nullptr) return nullptr;
-  const std::lock_guard<std::mutex> lock(plan_slot_->m);
-  return plan_slot_->plan;
-}
-
-bool SvmClassifier::use_compiled() const {
-  return svm_predict_mode() == SvmPredictMode::kCompiled;
-}
-
-std::size_t SvmClassifier::machine_index(int a, int b) const {
-  XDMODML_CHECK(a >= 0 && b > a && b < num_classes_,
-                "machine_index requires 0 <= a < b < k");
-  // Machines are stored in lexicographic (a, b) order.
-  const auto k = static_cast<std::size_t>(num_classes_);
-  const auto ua = static_cast<std::size_t>(a);
-  const auto ub = static_cast<std::size_t>(b);
-  return ua * k - ua * (ua + 1) / 2 + (ub - ua - 1);
-}
-
-void SvmClassifier::fit(const Matrix& X, std::span<const int> y,
-                        int num_classes) {
-  fit_shared(X, y, num_classes, nullptr, {});
-}
-
-void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
-                               int num_classes, SharedGramCache* cache,
-                               std::span<const std::size_t> cache_rows) {
+std::vector<BinarySvm> fit_one_vs_one(
+    const Matrix& X, std::span<const int> y, int num_classes,
+    const SvmConfig& config, std::uint64_t seed, SharedGramCache* cache,
+    std::span<const std::size_t> cache_rows) {
   XDMODML_CHECK(X.rows() == y.size() && X.rows() > 0,
                 "fit requires matching non-empty X and y");
   XDMODML_CHECK(num_classes >= 2, "multiclass SVM needs >= 2 classes");
@@ -549,13 +438,12 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
     XDMODML_CHECK(cache_rows.size() == X.rows(),
                   "cache_rows must map every row of X into the cache");
     const auto& k = cache->engine().kernel();
-    XDMODML_CHECK(k.type == config_.kernel.type &&
-                      k.gamma == config_.kernel.gamma &&
-                      k.degree == config_.kernel.degree &&
-                      k.coef0 == config_.kernel.coef0,
+    XDMODML_CHECK(k.type == config.kernel.type &&
+                      k.gamma == config.kernel.gamma &&
+                      k.degree == config.kernel.degree &&
+                      k.coef0 == config.kernel.coef0,
                   "external cache kernel must match the SVM kernel");
   }
-  num_classes_ = num_classes;
 
   // Group rows by class once.
   std::vector<std::vector<std::size_t>> rows_by_class(
@@ -576,7 +464,7 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
       tasks.push_back({a, b, 0});
     }
   }
-  Rng root(seed_);
+  Rng root(seed);
   for (auto& task : tasks) task.seed = root();
 
   // One norm vector + kernel-row cache over the full training matrix,
@@ -589,16 +477,16 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
   // place of the per-fit one and amortizes rows across fits too.
   std::unique_ptr<SharedGramCache> owned;
   SharedGramCache* shared = cache;
-  if (shared == nullptr && config_.gram_engine && config_.share_kernel_cache) {
+  if (shared == nullptr) {
     const std::size_t budget_rows = SharedGramCache::rows_for_budget(
-        X.rows(), config_.shared_cache_bytes, config_.cache_precision);
+        X.rows(), config.shared_cache_bytes, config.cache_precision);
     owned = std::make_unique<SharedGramCache>(
-        X, config_.kernel, std::min(budget_rows, X.rows()),
-        config_.cache_precision);
+        X, config.kernel, std::min(budget_rows, X.rows()),
+        config.cache_precision);
     shared = owned.get();
   }
 
-  machines_.assign(tasks.size(), BinarySvm{});
+  std::vector<BinarySvm> machines(tasks.size());
   auto train_pair = [&](std::size_t idx) {
     const auto& task = tasks[idx];
     const auto& rows_a = rows_by_class[static_cast<std::size_t>(task.a)];
@@ -615,12 +503,12 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
     }
     double c_pos = 1.0;
     double c_neg = 1.0;
-    if (!config_.class_weights.empty()) {
-      XDMODML_CHECK(config_.class_weights.size() ==
+    if (!config.class_weights.empty()) {
+      XDMODML_CHECK(config.class_weights.size() ==
                         static_cast<std::size_t>(num_classes),
                     "class_weights must have one entry per class");
-      c_pos = config_.class_weights[static_cast<std::size_t>(task.a)];
-      c_neg = config_.class_weights[static_cast<std::size_t>(task.b)];
+      c_pos = config.class_weights[static_cast<std::size_t>(task.a)];
+      c_neg = config.class_weights[static_cast<std::size_t>(task.b)];
     }
     // With an external cache, X is itself a subset of the cache's
     // matrix: compose the pair's rows through cache_rows so machines
@@ -631,21 +519,52 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
       full_rows.reserve(rows.size());
       for (const auto r : rows) full_rows.push_back(cache_rows[r]);
     }
-    machines_[idx].fit(X.gather_rows(rows), labels, config_, task.seed,
-                       c_pos, c_neg, shared,
-                       cache != nullptr ? full_rows : rows);
+    machines[idx].fit(X.gather_rows(rows), labels, config, task.seed, c_pos,
+                      c_neg, shared, cache != nullptr ? full_rows : rows);
   };
-  if (config_.parallel) {
+  if (config.parallel) {
     ThreadPool::global().parallel_for(0, tasks.size(), train_pair);
   } else {
     for (std::size_t i = 0; i < tasks.size(); ++i) train_pair(i);
   }
+  return machines;
+}
 
-  // Refit invalidates any previously compiled plan.  In compiled mode
-  // build the fresh plan eagerly so serving threads never pay for it;
-  // legacy mode (and grid-search sweeps run under it) skips the cost.
-  plan_slot_ = std::make_unique<PlanSlot>();
-  if (use_compiled()) inference_plan();
+SvmClassifier::SvmClassifier(SvmConfig config, std::uint64_t seed)
+    : config_(std::move(config)), seed_(seed) {}
+
+const SvmInferencePlan& SvmClassifier::inference_plan() const {
+  XDMODML_CHECK(plan_ != nullptr, "predict before fit");
+  return *plan_;
+}
+
+std::size_t SvmClassifier::num_machines() const {
+  return plan_ == nullptr ? 0 : plan_->num_machines();
+}
+
+std::size_t SvmClassifier::total_support_vectors() const {
+  return plan_ == nullptr ? 0 : plan_->total_support_vectors();
+}
+
+void SvmClassifier::fit(const Matrix& X, std::span<const int> y,
+                        int num_classes) {
+  fit_shared(X, y, num_classes, nullptr, {});
+}
+
+void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
+                               int num_classes, SharedGramCache* cache,
+                               std::span<const std::size_t> cache_rows) {
+  // The machines are temporaries: the plan and their sigmoids are the
+  // whole fitted model.
+  const auto machines =
+      fit_one_vs_one(X, y, num_classes, config_, seed_, cache, cache_rows);
+  std::vector<PlattSigmoid> sigmoids;
+  if (config_.probability) {
+    for (const auto& m : machines) sigmoids.push_back(m.sigmoid());
+  }
+  plan_ = SvmInferencePlan::build(machines, num_classes);
+  sigmoids_ = std::move(sigmoids);
+  num_classes_ = num_classes;
 }
 
 namespace {
@@ -672,51 +591,56 @@ Prediction top_class(std::span<const double> scores) {
   return {static_cast<int>(it - scores.begin()), *it};
 }
 
+/// One query's k class scores from its k(k−1)/2 decision values, into
+/// ws.scores: coupled probabilities when `sigmoids` is non-empty, else
+/// vote fractions (whose argmax is the hard-vote label, ties to the
+/// lowest class).
+void class_scores(const double* dec, std::size_t k,
+                  std::span<const PlattSigmoid> sigmoids,
+                  PredictWorkspace& ws) {
+  ws.pairwise.resize(k * k);
+  ws.scores.resize(k);
+  std::size_t m = 0;
+  if (!sigmoids.empty()) {
+    // Platt probabilities clipped away from {0, 1} (as LIBSVM does, to
+    // keep the coupling well-posed), then pairwise coupling.
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b, ++m) {
+        double r = sigmoids[m].probability(dec[m]);
+        r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
+        ws.pairwise[a * k + b] = r;
+        ws.pairwise[b * k + a] = 1.0 - r;
+      }
+    }
+    couple_pairwise_probabilities(ws.pairwise, k, ws.coupling, ws.scores);
+    return;
+  }
+  std::fill(ws.scores.begin(), ws.scores.end(), 0.0);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b, ++m) {
+      ++ws.scores[dec[m] > 0.0 ? a : b];
+    }
+  }
+  for (auto& v : ws.scores) v /= static_cast<double>(m);
+}
+
 }  // namespace
 
 template <typename Emit>
 void SvmClassifier::predict_compiled(const double* queries, std::size_t n,
-                                     Scores kind, const Emit& emit) const {
+                                     const Emit& emit) const {
   PredictWorkspace& ws = workspace();
   const auto& plan = inference_plan();
   const auto k = static_cast<std::size_t>(num_classes_);
-  const std::size_t machines = machines_.size();
+  const std::size_t machines = plan.num_machines();
   const std::size_t step = SvmInferencePlan::kMaxBatch;
   ws.decisions.resize(step * machines);
-  ws.pairwise.resize(k * k);
-  ws.scores.resize(k);
-  const bool coupled = kind == Scores::kProba && config_.probability;
   for (std::size_t q0 = 0; q0 < n; q0 += step) {
     const std::size_t nq = std::min(step, n - q0);
     plan.decision_values(queries + q0 * plan.dims(), nq, ws.plan,
                          ws.decisions.data());
     for (std::size_t i = 0; i < nq; ++i) {
-      const double* dec = ws.decisions.data() + i * machines;
-      std::size_t m = 0;
-      if (coupled) {
-        // The legacy rule: Platt probabilities clipped away from {0, 1}
-        // (as LIBSVM does), then pairwise coupling.
-        for (std::size_t a = 0; a < k; ++a) {
-          for (std::size_t b = a + 1; b < k; ++b, ++m) {
-            double r = machines_[m].sigmoid().probability(dec[m]);
-            r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
-            ws.pairwise[a * k + b] = r;
-            ws.pairwise[b * k + a] = 1.0 - r;
-          }
-        }
-        couple_pairwise_probabilities(ws.pairwise, k, ws.coupling,
-                                      ws.scores);
-      } else {
-        std::fill(ws.scores.begin(), ws.scores.end(), 0.0);
-        for (std::size_t a = 0; a < k; ++a) {
-          for (std::size_t b = a + 1; b < k; ++b, ++m) {
-            ++ws.scores[dec[m] > 0.0 ? a : b];
-          }
-        }
-        if (kind == Scores::kProba) {
-          for (auto& v : ws.scores) v /= static_cast<double>(machines);
-        }
-      }
+      class_scores(ws.decisions.data() + i * machines, k, sigmoids_, ws);
       emit(q0 + i, std::span<const double>(ws.scores));
     }
   }
@@ -724,122 +648,48 @@ void SvmClassifier::predict_compiled(const double* queries, std::size_t n,
 
 std::vector<double> SvmClassifier::predict_proba(
     std::span<const double> x) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  if (use_compiled()) {
-    XDMODML_CHECK(x.size() == inference_plan().dims(),
-                  "predict feature width mismatch");
-    std::vector<double> proba;
-    predict_compiled(x.data(), 1, Scores::kProba,
-                     [&](std::size_t, std::span<const double> scores) {
-                       proba.assign(scores.begin(), scores.end());
-                     });
-    return proba;
-  }
-  const auto k = static_cast<std::size_t>(num_classes_);
-  if (config_.probability) {
-    // Pairwise class-conditional probabilities, clipped away from {0, 1}
-    // as LIBSVM does to keep the coupling well-posed.
-    Matrix pairwise(k, k, 0.0);
-    for (int a = 0; a < num_classes_; ++a) {
-      for (int b = a + 1; b < num_classes_; ++b) {
-        const auto& machine = machines_[machine_index(a, b)];
-        double r = machine.probability_positive(x);
-        r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
-        pairwise(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) = r;
-        pairwise(static_cast<std::size_t>(b), static_cast<std::size_t>(a)) =
-            1.0 - r;
-      }
-    }
-    return couple_pairwise_probabilities(pairwise);
-  }
-  // Vote fractions (no Platt fit).
-  std::vector<double> votes(k, 0.0);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
-      const auto& machine = machines_[machine_index(a, b)];
-      const double f = machine.decision_value(x);
-      ++votes[static_cast<std::size_t>(f > 0.0 ? a : b)];
-    }
-  }
-  const double total = static_cast<double>(machines_.size());
-  for (auto& v : votes) v /= total;
-  return votes;
+  XDMODML_CHECK(x.size() == inference_plan().dims(),
+                "predict feature width mismatch");
+  std::vector<double> proba;
+  predict_compiled(x.data(), 1,
+                   [&](std::size_t, std::span<const double> scores) {
+                     proba.assign(scores.begin(), scores.end());
+                   });
+  return proba;
 }
 
 int SvmClassifier::predict_by_votes(std::span<const double> x) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  if (use_compiled()) {
-    XDMODML_CHECK(x.size() == inference_plan().dims(),
-                  "predict feature width mismatch");
-    int label = -1;
-    predict_compiled(x.data(), 1, Scores::kVotes,
-                     [&](std::size_t, std::span<const double> votes) {
-                       label = top_class(votes).label;
-                     });
-    return label;
-  }
-  std::vector<std::size_t> votes(static_cast<std::size_t>(num_classes_), 0);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
-      const auto& machine = machines_[machine_index(a, b)];
-      ++votes[static_cast<std::size_t>(
-          machine.decision_value(x) > 0.0 ? a : b)];
-    }
-  }
-  // std::max_element keeps the first maximum: ties go to the lowest
-  // class index, matching the vote-fraction argmax in predict_proba.
-  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                          votes.begin());
+  const auto& plan = inference_plan();
+  XDMODML_CHECK(x.size() == plan.dims(), "predict feature width mismatch");
+  PredictWorkspace& ws = workspace();
+  ws.decisions.resize(std::max(ws.decisions.size(), plan.num_machines()));
+  plan.decision_values(x.data(), 1, ws.plan, ws.decisions.data());
+  class_scores(ws.decisions.data(), plan.num_classes(), {}, ws);
+  return top_class(ws.scores).label;
 }
 
 std::vector<int> SvmClassifier::predict_shared(
     SharedGramCache& cache, std::span<const std::size_t> rows) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
+  const auto& plan = inference_plan();
+  PredictWorkspace& ws = workspace();
   const auto k = static_cast<std::size_t>(num_classes_);
+  ws.decisions.resize(std::max(ws.decisions.size(), plan.num_machines()));
   std::vector<int> labels;
   labels.reserve(rows.size());
   for (const auto r : rows) {
-    if (config_.probability) {
-      // Same pairwise coupling as predict_proba, with the decision
-      // values read off the probe's cached Gram row.
-      Matrix pairwise(k, k, 0.0);
-      for (int a = 0; a < num_classes_; ++a) {
-        for (int b = a + 1; b < num_classes_; ++b) {
-          const auto& machine = machines_[machine_index(a, b)];
-          double p = machine.sigmoid().probability(
-              machine.decision_value_cached(cache, r));
-          p = std::min(std::max(p, 1e-7), 1.0 - 1e-7);
-          pairwise(static_cast<std::size_t>(a),
-                   static_cast<std::size_t>(b)) = p;
-          pairwise(static_cast<std::size_t>(b),
-                   static_cast<std::size_t>(a)) = 1.0 - p;
-        }
-      }
-      const auto proba = couple_pairwise_probabilities(pairwise);
-      labels.push_back(static_cast<int>(
-          std::max_element(proba.begin(), proba.end()) - proba.begin()));
-    } else {
-      std::vector<std::size_t> votes(k, 0);
-      for (int a = 0; a < num_classes_; ++a) {
-        for (int b = a + 1; b < num_classes_; ++b) {
-          const auto& machine = machines_[machine_index(a, b)];
-          ++votes[static_cast<std::size_t>(
-              machine.decision_value_cached(cache, r) > 0.0 ? a : b)];
-        }
-      }
-      labels.push_back(static_cast<int>(
-          std::max_element(votes.begin(), votes.end()) - votes.begin()));
-    }
+    // Same scores as predict_proba, with the kernel values read off the
+    // probe's cached Gram row.
+    plan.decision_values_cached(cache, r, ws.plan, ws.decisions.data());
+    class_scores(ws.decisions.data(), k, sigmoids_, ws);
+    labels.push_back(top_class(ws.scores).label);
   }
   return labels;
 }
 
 int SvmClassifier::predict(std::span<const double> x) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  if (!config_.probability) return predict_by_votes(x);
-  const auto proba = predict_proba(x);
-  return static_cast<int>(std::max_element(proba.begin(), proba.end()) -
-                          proba.begin());
+  // Vote fractions and vote counts share an argmax, so one rule serves
+  // both model kinds.
+  return predict_with_probability(x).label;
 }
 
 Prediction SvmClassifier::predict_with_probability(
@@ -848,12 +698,10 @@ Prediction SvmClassifier::predict_with_probability(
   // in probability mode these are the coupled probabilities, otherwise
   // vote fractions whose argmax equals the hard-vote label (same
   // lowest-index tie rule), so label and probability always agree.
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  if (!use_compiled()) return top_class(predict_proba(x));
   XDMODML_CHECK(x.size() == inference_plan().dims(),
                 "predict feature width mismatch");
   Prediction out;
-  predict_compiled(x.data(), 1, Scores::kProba,
+  predict_compiled(x.data(), 1,
                    [&](std::size_t, std::span<const double> proba) {
                      out = top_class(proba);
                    });
@@ -892,13 +740,9 @@ void sweep_batch(const SvmInferencePlan& plan, const Matrix& X,
 }  // namespace
 
 std::vector<int> SvmClassifier::predict_batch(const Matrix& X) const {
-  if (!use_compiled()) return Classifier::predict_batch(X);
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  // Vote fractions and vote counts share an argmax, so one rule serves
-  // both model kinds, as in predict().
   std::vector<int> labels(X.rows(), -1);
   sweep_batch(inference_plan(), X, [&](std::size_t lo, std::size_t hi) {
-    predict_compiled(X.row(lo).data(), hi - lo, Scores::kProba,
+    predict_compiled(X.row(lo).data(), hi - lo,
                      [&](std::size_t i, std::span<const double> proba) {
                        labels[lo + i] = top_class(proba).label;
                      });
@@ -908,11 +752,9 @@ std::vector<int> SvmClassifier::predict_batch(const Matrix& X) const {
 
 std::vector<std::vector<double>> SvmClassifier::predict_proba_batch(
     const Matrix& X) const {
-  if (!use_compiled()) return Classifier::predict_proba_batch(X);
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
   std::vector<std::vector<double>> out(X.rows());
   sweep_batch(inference_plan(), X, [&](std::size_t lo, std::size_t hi) {
-    predict_compiled(X.row(lo).data(), hi - lo, Scores::kProba,
+    predict_compiled(X.row(lo).data(), hi - lo,
                      [&](std::size_t i, std::span<const double> proba) {
                        out[lo + i].assign(proba.begin(), proba.end());
                      });
@@ -922,11 +764,9 @@ std::vector<std::vector<double>> SvmClassifier::predict_proba_batch(
 
 std::vector<Prediction> SvmClassifier::predict_batch_with_probability(
     const Matrix& X) const {
-  if (!use_compiled()) return Classifier::predict_batch_with_probability(X);
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
   std::vector<Prediction> out(X.rows());
   sweep_batch(inference_plan(), X, [&](std::size_t lo, std::size_t hi) {
-    predict_compiled(X.row(lo).data(), hi - lo, Scores::kProba,
+    predict_compiled(X.row(lo).data(), hi - lo,
                      [&](std::size_t i, std::span<const double> proba) {
                        out[lo + i] = top_class(proba);
                      });
@@ -934,38 +774,60 @@ std::vector<Prediction> SvmClassifier::predict_batch_with_probability(
   return out;
 }
 
-std::size_t SvmClassifier::total_support_vectors() const {
-  std::size_t total = 0;
-  for (const auto& m : machines_) total += m.num_support_vectors();
-  return total;
-}
-
 void SvmClassifier::save(std::ostream& out) const {
-  XDMODML_CHECK(!machines_.empty(), "cannot save an untrained classifier");
-  io::write_tag(out, "svm-ovo-v1");
+  const auto& plan = inference_plan();
+  io::write_tag(out, "svm-ovo-v2");
   io::write_scalar(out, "classes",
                    static_cast<std::int64_t>(num_classes_));
   io::write_scalar(out, "probability",
                    static_cast<std::int64_t>(config_.probability ? 1 : 0));
-  io::write_scalar(out, "machines",
-                   static_cast<std::int64_t>(machines_.size()));
-  for (const auto& machine : machines_) machine.save(out);
+  plan.save(out);
+  std::vector<double> platt;  // (A, B) per machine
+  for (const auto& s : sigmoids_) platt.insert(platt.end(), {s.a, s.b});
+  io::write_vector(out, "platt", platt);
 }
 
 SvmClassifier SvmClassifier::load(std::istream& in) {
   io::TokenReader reader(in);
-  reader.expect("svm-ovo-v1");
+  const auto tag = reader.read_tag();
+  XDMODML_CHECK(tag == "svm-ovo-v1" || tag == "svm-ovo-v2",
+                "model stream: unknown SVM classifier version '" + tag + "'");
+  const auto classes = reader.read_int("classes");
+  XDMODML_CHECK(classes >= 2 && classes <= 0xffff,
+                "corrupt SVM: class count out of range");
+  const int k = static_cast<int>(classes);
   SvmClassifier clf;
-  clf.num_classes_ = static_cast<int>(reader.read_int("classes"));
   clf.config_.probability = reader.read_int("probability") != 0;
-  const auto machine_count = reader.read_int("machines");
-  const auto k = static_cast<std::int64_t>(clf.num_classes_);
-  XDMODML_CHECK(machine_count == k * (k - 1) / 2,
-                "corrupt one-vs-one machine count");
-  clf.machines_.reserve(static_cast<std::size_t>(machine_count));
-  for (std::int64_t i = 0; i < machine_count; ++i) {
-    clf.machines_.push_back(BinarySvm::load(in));
+  const auto machines = static_cast<std::size_t>(classes * (classes - 1) / 2);
+  if (tag == "svm-ovo-v2") {
+    clf.plan_ = SvmInferencePlan::load(reader, k);
+    const auto platt = reader.read_vector("platt");
+    const std::size_t want = clf.config_.probability ? machines : 0;
+    XDMODML_CHECK(platt.size() == 2 * want,
+                  "corrupt SVM: one Platt sigmoid per machine required");
+    for (std::size_t m = 0; m < want; ++m) {
+      clf.sigmoids_.push_back({platt[2 * m], platt[2 * m + 1]});
+    }
+  } else {
+    // v1: per-machine blocks, converted into the same plan.
+    XDMODML_CHECK(reader.read_int("machines") ==
+                      static_cast<std::int64_t>(machines),
+                  "corrupt one-vs-one machine count");
+    std::vector<BinarySvm> parsed;
+    parsed.reserve(machines);
+    for (std::size_t m = 0; m < machines; ++m) {
+      parsed.push_back(BinarySvm::load(in));
+      if (clf.config_.probability) {
+        clf.sigmoids_.push_back(parsed.back().sigmoid());
+      }
+    }
+    clf.plan_ = SvmInferencePlan::build(parsed, k);
   }
+  for (const auto& s : clf.sigmoids_) {
+    XDMODML_CHECK(std::isfinite(s.a) && std::isfinite(s.b),
+                  "corrupt SVM: non-finite Platt sigmoid");
+  }
+  clf.num_classes_ = k;
   return clf;
 }
 
@@ -996,28 +858,16 @@ void SvmRegressor::fit(const Matrix& X, std::span<const double> y) {
   problem.p = p;
   problem.y = labels;
   problem.c = c;
-  std::optional<GramRowEngine> engine;
-  if (config_.gram_engine) {
-    engine.emplace(X, config_.kernel);
-    // The doubled SVR variables alias the same l samples: fill one
-    // vectorized row and mirror it into the second half.
-    problem.kernel_row = [&engine, l](std::size_t i, std::span<double> out) {
-      engine->fill_row(i % l, out.subspan(0, l));
-      std::copy_n(out.data(), l, out.data() + l);
-    };
-    problem.kernel_diag = [&engine, l](std::size_t i) {
-      return engine->diagonal(i % l);
-    };
-  } else {
-    problem.kernel_row = [&X, this, l](std::size_t i, std::span<double> out) {
-      const auto xi = X.row(i % l);
-      for (std::size_t j = 0; j < l; ++j) {
-        const double k = config_.kernel(xi, X.row(j));
-        out[j] = k;
-        out[j + l] = k;
-      }
-    };
-  }
+  const GramRowEngine engine(X, config_.kernel);
+  // The doubled SVR variables alias the same l samples: fill one
+  // vectorized row and mirror it into the second half.
+  problem.kernel_row = [&engine, l](std::size_t i, std::span<double> out) {
+    engine.fill_row(i % l, out.subspan(0, l));
+    std::copy_n(out.data(), l, out.data() + l);
+  };
+  problem.kernel_diag = [&engine, l](std::size_t i) {
+    return engine.diagonal(i % l);
+  };
 
   const SmoResult result = solve_smo(problem, config_.smo);
   rho_ = result.rho;

@@ -37,15 +37,9 @@ struct SvmConfig {
   std::size_t platt_cv_folds = 3;  ///< CV folds for calibration values
   bool parallel = true;         ///< train OvO machines on the thread pool
   double epsilon = 0.1;         ///< ε-SVR tube half-width
-  /// Vectorized norm-cached Gram-row engine for training kernels.  Off =
-  /// the scalar per-pair Kernel::operator() path (ablation / perf
-  /// baseline; results are numerically equivalent either way).
-  bool gram_engine = true;
-  /// Share one thread-safe full-matrix kernel-row cache across all
-  /// one-vs-one sub-problems (each Gram row is computed once and sliced
-  /// by every machine whose subset contains it).  Requires gram_engine.
-  bool share_kernel_cache = true;
-  /// Memory budget for the shared cache (bytes of row storage).
+  /// Memory budget for the per-fit shared kernel-row cache that all
+  /// one-vs-one machines of an SvmClassifier fit slice their rows from
+  /// (bytes of row storage).
   std::size_t shared_cache_bytes = 256ull << 20;
   /// Storage precision of the shared cache's rows.  Float32 (default)
   /// doubles the rows the byte budget affords and halves reuse
@@ -96,7 +90,7 @@ class BinarySvm {
   /// full-matrix row backing X's row i.  When provided, kernel rows are
   /// sliced out of the shared cache instead of being recomputed over the
   /// subset — the multiclass one-vs-one trainer passes one cache to all
-  /// of its machines.
+  /// of its machines.  Without one, a GramRowEngine over X fills them.
   void fit(const Matrix& X, std::span<const signed char> y,
            const SvmConfig& config, std::uint64_t seed = 1,
            double c_positive = 1.0, double c_negative = 1.0,
@@ -114,8 +108,8 @@ class BinarySvm {
   /// The gathered support-vector rows (inference-plan pool building).
   const Matrix& support_vectors() const { return support_vectors_; }
   /// Full-matrix row provenance per SV when fitted via a shared cache
-  /// or loaded from a v2 file; empty otherwise.  Parallel to the SV
-  /// rows when present.
+  /// or loaded from a binary-svm-v2 stream; empty otherwise.  Parallel
+  /// to the SV rows when present.
   std::span<const std::size_t> sv_full_rows() const { return sv_full_rows_; }
   const Kernel& kernel() const { return kernel_; }
   double rho() const { return rho_; }
@@ -128,13 +122,12 @@ class BinarySvm {
   /// cache's full matrix: every k(sv, probe) is an entry of the probe's
   /// cached Gram row, so no kernel evaluation happens here.  Only valid
   /// when this machine was fitted through the same cache.  Used by the
-  /// Platt CV folds and by `SvmClassifier::predict_shared` (CV test
-  /// rows of a tuning sweep live in the same full matrix).
+  /// Platt CV folds (their held-out rows live in the same full matrix).
   double decision_value_cached(SharedGramCache& cache,
                                std::size_t full_row) const;
 
-  /// Serialization of a trained machine.
-  void save(std::ostream& out) const;
+  /// Reads one binary-svm-v1/v2 machine (the per-machine format of
+  /// svm-ovo-v1 streams, which SvmClassifier::load converts).
   static BinarySvm load(std::istream& in);
 
  private:
@@ -157,24 +150,28 @@ class BinarySvm {
 
 class SvmInferencePlan;  // ml/svm_plan.hpp
 
+/// Trains the k(k−1)/2 one-vs-one machines of a multiclass fit, in
+/// lexicographic (a, b) order.  Every machine slices its kernel rows out
+/// of one SharedGramCache: `cache` when given (see
+/// SvmClassifier::fit_shared for the contract), else a per-call cache
+/// over X.  These are the temporaries SvmClassifier compiles into its
+/// inference plan; exposed so tests can run a reference predictor over
+/// the very machines the plan was built from.
+std::vector<BinarySvm> fit_one_vs_one(
+    const Matrix& X, std::span<const int> y, int num_classes,
+    const SvmConfig& config, std::uint64_t seed,
+    SharedGramCache* cache = nullptr,
+    std::span<const std::size_t> cache_rows = {});
+
 /// One-vs-one multiclass SVM with coupled probability outputs.
 ///
-/// Prediction has two runtime-selectable paths (XDMODML_SVM_PREDICT,
-/// see ml/svm_plan.hpp): the legacy per-machine scalar kernel walk, and
-/// the compiled inference plan — one deduplicated, class-blocked
-/// support-vector pool swept by one SIMD kernel, shared by all machines.  The plan is
-/// built after fit (compiled mode) or lazily and thread-safely on first
-/// compiled prediction (e.g. after load).
+/// After fit (or load) the model is one immutable SvmInferencePlan — a
+/// deduplicated, class-blocked support-vector pool swept by one SIMD
+/// kernel, shared by all machines — plus one Platt sigmoid per machine.
+/// Copies share the plan.
 class SvmClassifier final : public Classifier {
  public:
   explicit SvmClassifier(SvmConfig config = {}, std::uint64_t seed = 11);
-  ~SvmClassifier() override;
-
-  /// Copies share nothing: the copy re-derives its plan on first use.
-  SvmClassifier(const SvmClassifier& other);
-  SvmClassifier& operator=(const SvmClassifier& other);
-  SvmClassifier(SvmClassifier&&) noexcept;
-  SvmClassifier& operator=(SvmClassifier&&) noexcept;
 
   void fit(const Matrix& X, std::span<const int> y, int num_classes) override;
 
@@ -214,8 +211,8 @@ class SvmClassifier final : public Classifier {
   int predict_by_votes(std::span<const double> x) const;
 
   /// Predicts probes that are themselves rows of `cache`'s full matrix,
-  /// given by full-matrix row index.  Every k(sv, probe) the machines
-  /// need is an entry of the probe's cached Gram row, so no kernel
+  /// given by full-matrix row index.  Every k(sv, probe) the plan needs
+  /// is an entry of the probe's cached Gram row, so no kernel
   /// evaluations happen here — a tuning sweep's CV test folds reuse the
   /// very rows training filled.  Only valid after `fit_shared` through
   /// the same cache; follows `predict`'s labelling rule.
@@ -229,66 +226,45 @@ class SvmClassifier final : public Classifier {
   Prediction predict_with_probability(
       std::span<const double> x) const override;
 
-  /// Batch entry points: in compiled mode, chunks of rows go through
-  /// the plan's kernel on the thread pool (one pool read serves every
-  /// query of a call); in legacy mode these fall back to the
-  /// per-row base-class loop.  Results equal the single-row calls bit
-  /// for bit — a single row is the compiled batch of one.
+  /// Batch entry points: chunks of rows go through the plan's kernel on
+  /// the thread pool (one pool read serves every query of a call).
+  /// Results equal the single-row calls bit for bit — a single row is
+  /// the batch of one.
   std::vector<int> predict_batch(const Matrix& X) const override;
   std::vector<std::vector<double>> predict_proba_batch(
       const Matrix& X) const override;
   std::vector<Prediction> predict_batch_with_probability(
       const Matrix& X) const override;
 
-  /// The compiled inference plan, built on first call (thread-safe via
-  /// std::call_once; concurrent first predictions build exactly once).
-  /// Requires a trained model.
+  /// The compiled model.  Requires a trained (or loaded) classifier.
   const SvmInferencePlan& inference_plan() const;
 
-  /// The plan if some caller already forced its construction, else
-  /// nullptr — report/metrics hooks peek without paying for a build.
-  std::shared_ptr<const SvmInferencePlan> plan_if_built() const;
-
   int num_classes() const override { return num_classes_; }
-  std::size_t num_machines() const { return machines_.size(); }
-  /// The idx-th one-vs-one machine in lexicographic (a, b) order;
-  /// exposed for the equivalence test layer.
-  const BinarySvm& machine(std::size_t idx) const { return machines_[idx]; }
+  std::size_t num_machines() const;
+  /// Machine-local support vectors summed over machines (before dedup).
   std::size_t total_support_vectors() const;
 
-  /// Serialization of a trained multiclass model.
+  /// Serialization: writes an svm-ovo-v2 stream; load reads v2, and
+  /// converts svm-ovo-v1 (per-machine) streams into the same plan.
   void save(std::ostream& out) const;
   static SvmClassifier load(std::istream& in);
 
  private:
-  std::size_t machine_index(int a, int b) const;  // requires a < b
-
-  /// True when this call should ride the compiled plan.
-  bool use_compiled() const;
-
-  /// What predict_compiled hands back per query.
-  enum class Scores {
-    kProba,  ///< coupled probabilities, or vote fractions without Platt
-    kVotes,  ///< raw one-vs-one vote counts
-  };
-  /// Runs the n row-major `queries` through the compiled plan,
-  /// kMaxBatch per kernel call, and calls emit(i, scores) with query
-  /// i's k class scores (valid during the call only).  Defined in
-  /// svm.cpp, its only user.
+  /// Runs the n row-major `queries` through the plan, kMaxBatch per
+  /// kernel call, and calls emit(i, scores) with query i's k class
+  /// scores — coupled probabilities, or vote fractions without Platt —
+  /// valid during the call only.  Defined in svm.cpp, its only user.
   template <typename Emit>
-  void predict_compiled(const double* queries, std::size_t n, Scores kind,
+  void predict_compiled(const double* queries, std::size_t n,
                         const Emit& emit) const;
 
   SvmConfig config_;
   std::uint64_t seed_;
   int num_classes_ = 0;
-  std::vector<BinarySvm> machines_;  // (0,1), (0,2), ..., (k-2,k-1)
-
-  /// Lazily built compiled plan.  Behind a unique_ptr because
-  /// std::once_flag is immovable and the classifier must stay movable
-  /// (load() returns by value); defined in svm.cpp.
-  struct PlanSlot;
-  mutable std::unique_ptr<PlanSlot> plan_slot_;
+  std::shared_ptr<const SvmInferencePlan> plan_;
+  /// One per machine, lexicographic (a, b) order; empty without
+  /// probability fitting.
+  std::vector<PlattSigmoid> sigmoids_;
 };
 
 /// ε-support-vector regression (doubled-variable SMO, as in LIBSVM).

@@ -1,19 +1,19 @@
-// Compiled SVM inference plan: a deduplicated, class-blocked support-
-// vector pool with one register-tiled predict kernel.
+// The one-vs-one SVM model: a deduplicated, class-blocked support-vector
+// pool with one register-tiled predict kernel.
 //
 // Serving is the traffic-facing hot path (the paper's §IV production
 // goal pushes every Uncategorized/NA job through the 20-class RBF
-// classifier), but the legacy `BinarySvm::decision_value` walks each
-// machine's private support-vector copy with a scalar kernel call — a
-// training row that supports many of the k(k−1)/2 one-vs-one machines
-// has K(x, row) recomputed once per machine on every query.
+// classifier).  A training row that supports many of the k(k−1)/2
+// one-vs-one machines would have K(x, row) recomputed once per machine
+// if each machine kept its own support vectors.
 //
-// The plan stores the model in LIBSVM's layout (Chang & Lin 2011):
+// The plan stores the model in LIBSVM's layout (Chang & Lin 2011), and
+// it is the only representation an `SvmClassifier` holds after fit:
 //  * all machines' support vectors are merged into ONE pool of unique
 //    (class, row) pairs — keyed on full-matrix row provenance
-//    (`sv_full_rows_`) when every machine carries it, content (bit-exact
-//    row bytes) otherwise — ordered by class, so class c's SVs are one
-//    contiguous block;
+//    (`BinarySvm::sv_full_rows()`) when every machine carries it,
+//    content (bit-exact row bytes) otherwise — ordered by class, so
+//    class c's SVs are one contiguous block;
 //  * the coefficients form one dense (k−1) × nSV matrix, so machine
 //    (a, b) is two contiguous dots: row b−1 over block a plus row a
 //    over block b, with no index gathers;
@@ -24,18 +24,17 @@
 //    the batch it rides in, so batch results equal single results
 //    exactly.
 //
-// The legacy path remains runtime-selectable via XDMODML_SVM_PREDICT
-// (see SvmPredictMode below) and is bit-identical to its pre-plan
-// behaviour — it is the differential arm the tier1-infer tests and
-// bench_svm_infer compare against.
+// `save`/`load` write and read this layout directly (the plan section of
+// an `svm-ovo-v2` stream, see ml/model_io.hpp); every way a plan comes
+// into being — fit, v2 load, v1 conversion — ends in the same validating
+// assembly step.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "ml/svm.hpp"
@@ -43,31 +42,13 @@
 
 namespace xdmodml::ml {
 
-/// Prediction-path selector.  kCompiled (default) routes SvmClassifier
-/// prediction through the shared-pool plan; kLegacy keeps the original
-/// per-machine scalar kernel walk (differential / ablation arm).
-enum class SvmPredictMode { kLegacy, kCompiled };
+namespace io {
+class TokenReader;
+}
 
-/// The active mode.  Selected once on first use from the
-/// XDMODML_SVM_PREDICT environment variable ("legacy" / "compiled";
-/// anything else, or unset, means compiled).
-SvmPredictMode svm_predict_mode();
-
-/// Forces the mode (A/B testing, the differential test suite).
-void set_svm_predict_mode(SvmPredictMode mode);
-
-/// "legacy" / "compiled".
-std::string_view svm_predict_mode_name(SvmPredictMode mode);
-
-/// Parses an XDMODML_SVM_PREDICT value; nullopt for anything
-/// unrecognized.  Exposed for tests.
-std::optional<SvmPredictMode> svm_predict_mode_from_string(
-    std::string_view name);
-
-/// Immutable compiled inference plan over a set of trained one-vs-one
-/// machines.  Build once (SvmClassifier does so after fit, or lazily and
-/// thread-safely after load), then share freely: every method is const
-/// and touches no mutable state.
+/// Immutable compiled one-vs-one model.  Built once (by fit, or by
+/// load), then shared freely: every method is const and touches no
+/// mutable state.
 class SvmInferencePlan {
  public:
   /// Queries per decision_values call.  Each call reads every class
@@ -86,18 +67,39 @@ class SvmInferencePlan {
   /// `machines` are the k(k−1)/2 one-vs-one machines of `num_classes`
   /// classes in lexicographic (a, b) order; an SV with a positive
   /// coefficient belongs to class a, otherwise to class b.  Keyed on
-  /// sv_full_rows() provenance when every machine carries it, content
-  /// hash with bit-exact verification otherwise — always per class.
-  /// Updates the svm.plan.* gauges.
+  /// sv_full_rows() provenance when every machine carries it (the plan
+  /// then keeps each pool row's provenance for decision_values_cached),
+  /// content hash with bit-exact verification otherwise — always per
+  /// class.  Throws InvalidArgument on a model that fails the load
+  /// invariants (see load).  Updates the svm.plan.* gauges.
   static std::shared_ptr<const SvmInferencePlan> build(
       std::span<const BinarySvm> machines, int num_classes);
 
+  /// Writes the plan section of an svm-ovo-v2 stream: kernel, dims,
+  /// pre-dedup SV count, per-class row counts, each unique pool row
+  /// once (unpadded, class order), the (k−1) × nSV coefficients and ρ
+  /// per machine.  Provenance is not written.
+  void save(std::ostream& out) const;
+
+  /// Reads what save wrote for a `num_classes`-class model.  Throws
+  /// InvalidArgument unless the kernel is valid (γ > 0 for RBF and
+  /// polynomial, degree > 0 for polynomial), every pool entry,
+  /// coefficient and ρ is finite, the per-class row counts sum to the
+  /// pool rows and match the coefficient width, and there are
+  /// k(k−1)/2 machines.
+  static std::shared_ptr<const SvmInferencePlan> load(io::TokenReader& reader,
+                                                      int num_classes);
+
   std::size_t unique_support_vectors() const { return unique_; }
+  /// Machine-local support vectors before dedup.
   std::size_t total_support_vectors() const { return total_; }
   /// total / unique — how many machines the average pool row serves.
   double dedup_ratio() const;
   std::size_t dims() const { return dims_; }
-  bool provenance_keyed() const { return provenance_; }
+  std::size_t num_classes() const { return classes_; }
+  /// True when every pool row carries its full-matrix provenance (a
+  /// model fitted through a SharedGramCache; never after a v2 load).
+  bool provenance_keyed() const { return !full_rows_.empty(); }
   /// Bytes of pool storage (panels, block padding included).
   std::size_t pool_bytes() const { return panels_.size() * sizeof(double); }
   const Kernel& kernel() const { return kernel_; }
@@ -106,6 +108,11 @@ class SvmInferencePlan {
   std::size_t class_support_vectors(std::size_t c) const {
     return class_rows_[c];
   }
+  /// ρ per machine, lexicographic (a, b) order.
+  std::span<const double> rho() const { return rho_; }
+  /// The (k−1) × pool-rows coefficient matrix (α·y), row-major, class
+  /// blocks padded to whole 4-row panels with zeros.
+  std::span<const double> coefficients() const { return coef_; }
 
   /// out[j] = k(x, pool_j) for j in [0, unique_support_vectors()), pool
   /// rows in class-block order.  out.size() must be >= the pool size.
@@ -118,14 +125,35 @@ class SvmInferencePlan {
   void decision_values(const double* queries, std::size_t nq,
                        Scratch& scratch, double* out) const;
 
+  /// Decision values of every machine for a probe that is itself row
+  /// `full_row` of `cache`'s matrix: the pool's kernel values are
+  /// gathered from the probe's cached Gram row at the pool rows'
+  /// provenance, so no kernel evaluation happens here.  Requires
+  /// provenance_keyed() and a fit through that same cache.
+  void decision_values_cached(SharedGramCache& cache, std::size_t full_row,
+                              Scratch& scratch, double* out) const;
+
  private:
   SvmInferencePlan() = default;
+
+  /// Lays out and validates a plan from unpadded parts: `pool` is the
+  /// unique rows in class order (class_rows[c] rows of class c), `coef`
+  /// the (k−1) × unique coefficients, `full_rows` each pool row's
+  /// provenance or empty.  Every constructor path ends here.
+  static std::shared_ptr<const SvmInferencePlan> assemble(
+      Kernel kernel, std::size_t classes, std::size_t dims,
+      std::size_t total, std::vector<std::size_t> class_rows,
+      std::span<const double> pool, std::span<const double> coef,
+      std::vector<double> rho, std::vector<std::size_t> full_rows);
+
   simd::SvmBlocks blocks() const;
+  /// dec[m] = block sums of the two classes of machine m − ρ_m, from
+  /// per-class sums laid out as sums[c · (k−1) + r].
+  void combine(const double* sums, double* dec) const;
 
   Kernel kernel_;
   simd::KernelForm form_ = simd::KernelForm::kRbf;
   std::uint64_t degree_int_ = 0;
-  bool provenance_ = false;
   std::size_t classes_ = 0;
   std::size_t dims_ = 0;
   std::size_t unique_ = 0;
@@ -137,6 +165,9 @@ class SvmInferencePlan {
   std::vector<double> sq_norms_;      ///< ‖pool_j‖²
   std::vector<double> coef_;          ///< (classes_ − 1) × rows_
   std::vector<double> rho_;           ///< per machine
+  /// Full-matrix row per unique pool row (class order, unpadded), kept
+  /// in memory only; empty when the plan was not keyed on provenance.
+  std::vector<std::size_t> full_rows_;
 };
 
 }  // namespace xdmodml::ml

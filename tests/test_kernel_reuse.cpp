@@ -19,6 +19,7 @@
 #include "ml/kernel.hpp"
 #include "ml/smo.hpp"
 #include "ml/svm.hpp"
+#include "ml/svm_plan.hpp"
 #include "util/failpoint.hpp"
 #include "util/matrix.hpp"
 #include "util/metrics.hpp"
@@ -53,6 +54,28 @@ Dataset make_class_blobs(int classes, std::size_t per_class,
     ds.feature_names.push_back("f" + std::to_string(d));
   }
   return ds;
+}
+
+/// Two fits of the same data agree on the solver's outputs within the
+/// SMO tolerance budget: the same class-blocked pool, and every ρ and
+/// every entry of the (k−1) × pool coefficient matrix within 1e-3.
+void expect_same_solver_output(const SvmInferencePlan& a,
+                               const SvmInferencePlan& b) {
+  ASSERT_EQ(a.num_machines(), b.num_machines());
+  for (std::size_t m = 0; m < a.num_machines(); ++m) {
+    EXPECT_NEAR(a.rho()[m], b.rho()[m], 1e-3) << "machine " << m;
+  }
+  ASSERT_EQ(a.num_classes(), b.num_classes());
+  for (std::size_t c = 0; c < a.num_classes(); ++c) {
+    ASSERT_EQ(a.class_support_vectors(c), b.class_support_vectors(c))
+        << "class " << c;
+  }
+  const auto ca = a.coefficients();
+  const auto cb = b.coefficients();
+  ASSERT_EQ(ca.size(), cb.size());
+  for (std::size_t s = 0; s < ca.size(); ++s) {
+    EXPECT_NEAR(ca[s], cb[s], 1e-3) << "coef " << s;
+  }
 }
 
 SmoResult solve_through_cache(const Matrix& X,
@@ -124,19 +147,7 @@ TEST(GramPrecisionEquivalence, TwentyClassOvoFitAgreesAcrossPrecisions) {
   const auto clf64 = fit_with(GramPrecision::kFloat64);
 
   // Per-machine solver outputs agree within the SMO tolerance budget.
-  ASSERT_EQ(clf32.num_machines(), clf64.num_machines());
-  for (std::size_t m = 0; m < clf32.num_machines(); ++m) {
-    const auto& a = clf32.machine(m);
-    const auto& b = clf64.machine(m);
-    EXPECT_NEAR(a.rho(), b.rho(), 1e-3) << "machine " << m;
-    ASSERT_EQ(a.num_support_vectors(), b.num_support_vectors())
-        << "machine " << m;
-    const auto ca = a.coefficients();
-    const auto cb = b.coefficients();
-    for (std::size_t s = 0; s < ca.size(); ++s) {
-      EXPECT_NEAR(ca[s], cb[s], 1e-3) << "machine " << m << " coef " << s;
-    }
-  }
+  expect_same_solver_output(clf32.inference_plan(), clf64.inference_plan());
 
   // Labels agree exactly; coupled probabilities within the tolerance.
   for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -269,18 +280,8 @@ TEST(GramCacheDegradedPaths, OvoFitUnderBudgetFaultMatchesCachedFit) {
   const auto clf_degraded = fit();
   fp::reset();
 
-  ASSERT_EQ(clf_degraded.num_machines(), clf_cached.num_machines());
-  for (std::size_t m = 0; m < clf_cached.num_machines(); ++m) {
-    const auto& a = clf_degraded.machine(m);
-    const auto& b = clf_cached.machine(m);
-    EXPECT_NEAR(a.rho(), b.rho(), 1e-3) << "machine " << m;
-    const auto ca = a.coefficients();
-    const auto cb = b.coefficients();
-    ASSERT_EQ(ca.size(), cb.size()) << "machine " << m;
-    for (std::size_t s = 0; s < ca.size(); ++s) {
-      EXPECT_NEAR(ca[s], cb[s], 1e-3) << "machine " << m << " coef " << s;
-    }
-  }
+  expect_same_solver_output(clf_degraded.inference_plan(),
+                            clf_cached.inference_plan());
   for (std::size_t i = 0; i < probes.size(); ++i) {
     EXPECT_EQ(clf_degraded.predict(probes.X.row(i)),
               clf_cached.predict(probes.X.row(i)))

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/job_classifier.hpp"
 #include "ml/model_io.hpp"
@@ -41,6 +43,17 @@ TEST(ModelIo, TokenReaderValidates) {
   std::istringstream in2("x");
   ml::io::TokenReader reader2(in2);
   EXPECT_THROW(reader2.read_double("x"), InvalidArgument);  // truncated
+}
+
+// A corrupt length must fail on the missing elements, not allocate
+// what it declares (2^53 doubles is far beyond any address space).
+TEST(ModelIo, HugeDeclaredVectorLengthRejected) {
+  std::istringstream in("v 9007199254740992 1.5 2.5");
+  ml::io::TokenReader reader(in);
+  EXPECT_THROW(reader.read_vector("v"), InvalidArgument);
+  std::istringstream idx("r 9007199254740992 1 2");
+  ml::io::TokenReader idx_reader(idx);
+  EXPECT_THROW(idx_reader.read_index_vector("r"), InvalidArgument);
 }
 
 TEST(ModelIo, VectorRoundTrip) {
@@ -95,34 +108,192 @@ TEST(ModelIo, ForestRoundTripPredictionsIdentical) {
   EXPECT_THROW(loaded.oob_error(), InvalidArgument);
 }
 
-TEST(ModelIo, SvmRoundTripPredictionsIdentical) {
+// fit → save → load is bit-identical for every kernel form the plan
+// evaluates (RBF, linear, integral and non-integral polynomial):
+// decision values and probabilities compare with EXPECT_EQ on doubles,
+// and re-saving the loaded model reproduces the first save byte for
+// byte (the benchmark's retrain gate relies on that).
+TEST(ModelIo, SvmRoundTripBitIdenticalAcrossKernels) {
+  const auto ds = blob_dataset(30);
+  const std::vector<ml::Kernel> kernels = {
+      ml::Kernel::rbf(0.5), ml::Kernel::linear(),
+      ml::Kernel::polynomial(3.0, 0.5, 1.0),
+      ml::Kernel::polynomial(2.5, 0.05, 3.0)};
+  Rng rng(5);
+  Matrix probes;
+  for (int i = 0; i < 20; ++i) {
+    probes.append_row(std::vector<double>{rng.normal(4.0, 4.0),
+                                          rng.normal(-2.0, 3.0)});
+  }
+  for (const auto& kernel : kernels) {
+    for (const bool probability : {true, false}) {
+      SCOPED_TRACE(kernel.name() + (probability ? " proba" : " votes"));
+      ml::SvmConfig cfg;
+      cfg.kernel = kernel;
+      cfg.c = 10.0;
+      cfg.probability = probability;
+      ml::SvmClassifier svm(cfg, 7);
+      svm.fit(ds.X, ds.labels, 3);
+      std::ostringstream out;
+      svm.save(out);
+      const std::string first = out.str();
+      ASSERT_EQ(first.rfind("svm-ovo-v2\n", 0), 0u);
+      std::istringstream in(first);
+      const auto loaded = ml::SvmClassifier::load(in);
+      EXPECT_EQ(loaded.num_machines(), svm.num_machines());
+      EXPECT_EQ(loaded.total_support_vectors(), svm.total_support_vectors());
+
+      const auto& plan = svm.inference_plan();
+      const auto& reloaded = loaded.inference_plan();
+      ml::SvmInferencePlan::Scratch scratch;
+      std::vector<double> dec(plan.num_machines());
+      std::vector<double> dec_loaded(plan.num_machines());
+      for (std::size_t r = 0; r < probes.rows(); ++r) {
+        const auto x = probes.row(r);
+        plan.decision_values(x.data(), 1, scratch, dec.data());
+        reloaded.decision_values(x.data(), 1, scratch, dec_loaded.data());
+        EXPECT_EQ(dec_loaded, dec) << "probe " << r;
+        EXPECT_EQ(loaded.predict_proba(x), svm.predict_proba(x))
+            << "probe " << r;
+        EXPECT_EQ(loaded.predict(x), svm.predict(x));
+      }
+
+      std::ostringstream again;
+      loaded.save(again);
+      EXPECT_EQ(again.str(), first);
+    }
+  }
+}
+
+// svm-ovo-v2 writes each unique pool row once: the stream holds one
+// `pool` vector of unique × dims values, not one row per machine SV.
+TEST(ModelIo, SvmV2StoresEachUniqueRowOnce) {
   const auto ds = blob_dataset(30);
   ml::SvmConfig cfg;
   cfg.kernel = ml::Kernel::rbf(0.5);
   cfg.c = 10.0;
-  cfg.probability = true;
   ml::SvmClassifier svm(cfg, 7);
   svm.fit(ds.X, ds.labels, 3);
   std::ostringstream out;
   svm.save(out);
   std::istringstream in(out.str());
-  const auto loaded = ml::SvmClassifier::load(in);
-  EXPECT_EQ(loaded.num_machines(), svm.num_machines());
-  EXPECT_EQ(loaded.total_support_vectors(), svm.total_support_vectors());
-  // v2 streams carry the SV provenance, so the reloaded compiled plan
-  // rebuilds the same deduplicated pool the pre-save model had.
-  const auto& plan = svm.inference_plan();
-  const auto& reloaded_plan = loaded.inference_plan();
-  EXPECT_EQ(reloaded_plan.unique_support_vectors(),
-            plan.unique_support_vectors());
-  EXPECT_EQ(reloaded_plan.provenance_keyed(), plan.provenance_keyed());
-  for (std::size_t r = 0; r < ds.X.rows(); ++r) {
-    const auto pa = svm.predict_proba(ds.X.row(r));
-    const auto pb = loaded.predict_proba(ds.X.row(r));
-    for (std::size_t c = 0; c < pa.size(); ++c) {
-      EXPECT_NEAR(pa[c], pb[c], 1e-12);
-    }
+  std::string token;
+  std::size_t pool_values = 0;
+  while (in >> token) {
+    ASSERT_NE(token, "sv");
+    if (token == "pool") in >> pool_values;
   }
+  const auto& plan = svm.inference_plan();
+  EXPECT_EQ(pool_values, plan.unique_support_vectors() * plan.dims());
+  EXPECT_LT(plan.unique_support_vectors(), plan.total_support_vectors());
+}
+
+// ---- semantic validation at the SVM load boundary -----------------------
+
+/// An svm-ovo-v1 stream of `machines` machines that share `kernel`,
+/// each with the support vectors [1, 0] (class a) and [0, 1] (class b).
+std::string v1_stream(const std::string& classes, const std::string& machines,
+                      const std::string& kernel, bool probability = true,
+                      const std::string& rho = "0.25") {
+  std::string out = "svm-ovo-v1\nclasses " + classes + "\nprobability " +
+                    (probability ? "1" : "0") + "\nmachines " + machines +
+                    "\n";
+  const int n = std::stoi(machines);
+  for (int m = 0; m < n; ++m) {
+    out += "binary-svm-v1\n" + kernel + "\nrho " + rho +
+           "\nhas_platt 1\nplatt_a -2\nplatt_b 0.1\nsvs 2\ndims 2\n"
+           "coef 2 1 -1\nsv 2 1 0\nsv 2 0 1\n";
+  }
+  return out;
+}
+
+const char* const kRbf = "kernel_type 1\ngamma 0.5\ndegree 3\ncoef0 0";
+
+bool svm_loads(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)ml::SvmClassifier::load(in);
+    return true;
+  } catch (const InvalidArgument&) {
+    return false;
+  }
+}
+
+TEST(ModelIo, SvmV1ConversionValidates) {
+  // Well-formed streams load, the linear one with `gamma 0` included.
+  EXPECT_TRUE(svm_loads(v1_stream("3", "3", kRbf)));
+  EXPECT_TRUE(svm_loads(
+      v1_stream("3", "3", "kernel_type 0\ngamma 0\ndegree 1\ncoef0 0")));
+  EXPECT_TRUE(svm_loads(
+      v1_stream("3", "3", "kernel_type 2\ngamma 0.5\ndegree 2.5\ncoef0 1")));
+  // k = -1 gives k(k-1)/2 = 1 machine, which used to load and only fail
+  // at the first predict.
+  EXPECT_FALSE(svm_loads(v1_stream("-1", "1", kRbf)));
+  EXPECT_FALSE(svm_loads(v1_stream("1", "0", kRbf)));
+  EXPECT_FALSE(svm_loads(v1_stream("3", "2", kRbf)));
+  // Non-positive γ used to load and serve p = 0.73.
+  EXPECT_FALSE(svm_loads(
+      v1_stream("3", "3", "kernel_type 1\ngamma -1\ndegree 3\ncoef0 0")));
+  EXPECT_FALSE(svm_loads(
+      v1_stream("3", "3", "kernel_type 1\ngamma 0\ndegree 3\ncoef0 0")));
+  EXPECT_FALSE(svm_loads(
+      v1_stream("3", "3", "kernel_type 2\ngamma 0\ndegree 3\ncoef0 0")));
+  EXPECT_FALSE(svm_loads(
+      v1_stream("3", "3", "kernel_type 2\ngamma 0.5\ndegree 0\ncoef0 0")));
+  EXPECT_FALSE(svm_loads(
+      v1_stream("3", "3", "kernel_type 2\ngamma 0.5\ndegree -2\ncoef0 0")));
+}
+
+TEST(ModelIo, SvmV1ProbabilityModelNeedsEveryPlattSigmoid) {
+  auto text = v1_stream("3", "3", kRbf);
+  const auto pos = text.rfind("has_platt 1");
+  text.replace(pos, 11, "has_platt 0");
+  EXPECT_FALSE(svm_loads(text));
+  // Without probability fitting a machine's sigmoid is not needed.
+  auto votes = v1_stream("3", "3", kRbf, /*probability=*/false);
+  votes.replace(votes.rfind("has_platt 1"), 11, "has_platt 0");
+  EXPECT_TRUE(svm_loads(votes));
+}
+
+/// A valid 3-class svm-ovo-v2 stream with one SV per class, with the
+/// line that starts with `key` replaced by `line`.
+std::string v2_stream(const std::string& key = "",
+                      const std::string& line = "") {
+  std::vector<std::string> lines = {
+      "svm-ovo-v2",          "classes 3",          "probability 1",
+      "kernel_type 1",       "gamma 0.5",          "degree 3",
+      "coef0 0",             "dims 2",             "total_svs 6",
+      "class_rows 3 1 1 1",  "pool 6 1 0 0 1 1 1", "coef 6 1 1 -1 1 -1 -1",
+      "rho 3 0.1 0.2 0.3",   "platt 6 -2 0 -2 0 -2 0"};
+  std::string out;
+  for (const auto& l : lines) {
+    const bool hit = !key.empty() && l.rfind(key + " ", 0) == 0;
+    out += (hit ? line : l) + "\n";
+  }
+  return out;
+}
+
+TEST(ModelIo, SvmV2Validates) {
+  ASSERT_TRUE(svm_loads(v2_stream()));
+  EXPECT_FALSE(svm_loads(v2_stream("classes", "classes 1")));
+  EXPECT_FALSE(svm_loads(v2_stream("classes", "classes -1")));
+  EXPECT_FALSE(svm_loads(v2_stream("gamma", "gamma -1")));
+  EXPECT_FALSE(svm_loads(v2_stream("gamma", "gamma 0")));
+  EXPECT_FALSE(svm_loads(v2_stream("kernel_type", "kernel_type 7")));
+  // Row counts must sum to the pool rows...
+  EXPECT_FALSE(svm_loads(v2_stream("class_rows", "class_rows 3 1 1 2")));
+  EXPECT_FALSE(svm_loads(v2_stream("class_rows", "class_rows 2 2 1")));
+  EXPECT_FALSE(svm_loads(v2_stream("pool", "pool 5 1 0 0 1 1")));
+  // ...and match the coefficient width.
+  EXPECT_FALSE(svm_loads(v2_stream("coef", "coef 4 1 1 -1 1")));
+  EXPECT_FALSE(svm_loads(v2_stream("rho", "rho 2 0.1 0.2")));
+  EXPECT_FALSE(svm_loads(v2_stream("platt", "platt 4 -2 0 -2 0")));
+  EXPECT_FALSE(svm_loads(v2_stream("total_svs", "total_svs 2")));
+  EXPECT_FALSE(svm_loads(v2_stream("dims", "dims 0")));
+  // A linear kernel ignores γ.
+  auto linear = v2_stream("kernel_type", "kernel_type 0");
+  linear.replace(linear.find("gamma 0.5"), 9, "gamma 0");
+  EXPECT_TRUE(svm_loads(linear));
 }
 
 TEST(ModelIo, NaiveBayesRoundTrip) {

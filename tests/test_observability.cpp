@@ -339,7 +339,6 @@ ml::SvmClassifier tiny_svm(bool probability = false) {
 }
 
 TEST(Observability, SvmPlanGaugesPublishedOnBuild) {
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   auto& registry = MetricsRegistry::instance();
   const std::uint64_t builds_before =
       registry.counter("svm.plan.builds").value();
@@ -360,7 +359,6 @@ TEST(Observability, SvmPlanGaugesPublishedOnBuild) {
 
 TEST(Observability, SvmPredictCountersAccumulate) {
   EnabledGuard toggle;
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   auto& registry = MetricsRegistry::instance();
   const auto clf = tiny_svm();
   const auto& plan = clf.inference_plan();
@@ -392,7 +390,6 @@ TEST(Observability, SvmPredictCountersAccumulate) {
 }
 
 TEST(Observability, ServiceReportSurfacesPlanInfo) {
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   auto gen = workload::WorkloadGenerator::standard({}, 77);
   const auto train_jobs = gen.generate_balanced(6);
   const auto schema = supremm::AttributeSchema::full();
@@ -405,12 +402,12 @@ TEST(Observability, ServiceReportSurfacesPlanInfo) {
   auto clf = std::make_shared<core::JobClassifier>(cfg);
   clf->train(train);
 
-  // The plan is built eagerly by the compiled-mode fit, so the report's
-  // model line carries the pool stats without any prediction happening.
+  // The plan is the fitted model, so the report's model line carries
+  // the pool stats without any prediction happening.
   core::ClassificationService service(clf, 0.5);
   const auto report = service.report();
   EXPECT_NE(report.find("model: svm"), std::string::npos);
-  EXPECT_NE(report.find("predict=compiled"), std::string::npos);
+  EXPECT_EQ(report.find("predict="), std::string::npos);
   EXPECT_NE(report.find("plan "), std::string::npos);
   EXPECT_NE(report.find("dedup"), std::string::npos);
   EXPECT_NE(clf->model_info().find("machines"), std::string::npos);

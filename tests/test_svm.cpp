@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "ml/dataset.hpp"
+#include "svm_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -265,6 +267,24 @@ std::string crafted_machine(double platt_a, bool has_platt,
   return os.str();
 }
 
+// A crafted svm-ovo-v1 stream converts into a plan that predicts what
+// the per-machine reference predicts on `x`.
+void expect_same_as_reference(const std::string& stream,
+                              const std::vector<double>& x) {
+  std::istringstream in(stream);
+  const auto svm = SvmClassifier::load(in);
+  std::istringstream ref_in(stream);
+  const auto ref = reference::OneVsOne::from_v1(ref_in);
+  EXPECT_EQ(svm.predict(x), ref.predict(x));
+  EXPECT_EQ(svm.predict_by_votes(x), ref.predict_by_votes(x));
+  const auto proba = svm.predict_proba(x);
+  const auto want = ref.predict_proba(x);
+  ASSERT_EQ(proba.size(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_NEAR(proba[c], want[c], 1e-12) << "class " << c;
+  }
+}
+
 TEST(SvmClassifier, ProbabilityModeLabelMatchesCoupledArgmax) {
   // Regression test for the label/probability disagreement: a crafted
   // 3-class model where the hard one-vs-one votes and the coupled
@@ -295,6 +315,7 @@ TEST(SvmClassifier, ProbabilityModeLabelMatchesCoupledArgmax) {
   EXPECT_EQ(pred.label, argmax);
   EXPECT_DOUBLE_EQ(pred.probability, proba[static_cast<std::size_t>(argmax)]);
   EXPECT_EQ(svm.predict(x), argmax);  // predict agrees in probability mode
+  expect_same_as_reference(os.str(), x);
 }
 
 TEST(SvmClassifier, VoteFractionTiesResolveToLowestClass) {
@@ -318,6 +339,7 @@ TEST(SvmClassifier, VoteFractionTiesResolveToLowestClass) {
   const auto pred = svm.predict_with_probability(x);
   EXPECT_EQ(pred.label, 0);
   EXPECT_DOUBLE_EQ(pred.probability, 1.0 / 3.0);
+  expect_same_as_reference(os.str(), x);
 }
 
 TEST(SvmClassifier, SelfConsistentUnderNoiseLabels) {

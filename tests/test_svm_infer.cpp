@@ -1,9 +1,9 @@
 // Differential tests for the compiled SVM inference plan (ml/svm_plan):
-// the compiled path (class-blocked deduplicated support-vector pool +
-// the simd::svm_block_sums kernel) must agree with the legacy
-// per-machine scalar kernel walk across kernels, ISAs, batch shapes,
-// serialization round trips and concurrent first use; batches must
-// reproduce single queries bit for bit, also through an SVM-backed
+// the plan (class-blocked deduplicated support-vector pool + the
+// simd::svm_block_sums kernel) must agree with the test-side per-machine
+// reference (svm_reference.hpp) across kernels, ISAs, batch shapes,
+// serialization round trips and concurrent use; batches must reproduce
+// single queries bit for bit, also through an SVM-backed
 // ClassificationService.  Registered under the `tier1-infer` ctest
 // label, plus an XDMODML_SIMD=scalar environment rerun.
 #include "ml/svm_plan.hpp"
@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/classification_service.hpp"
 #include "ml/svm.hpp"
+#include "svm_reference.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/metrics.hpp"
@@ -29,22 +31,8 @@
 namespace xdmodml::ml {
 namespace {
 
-/// Restores the prediction mode on scope exit so one test's toggle
-/// cannot leak into another.
-class ModeGuard {
- public:
-  explicit ModeGuard(SvmPredictMode mode) : prev_(svm_predict_mode()) {
-    set_svm_predict_mode(mode);
-  }
-  ~ModeGuard() { set_svm_predict_mode(prev_); }
-  ModeGuard(const ModeGuard&) = delete;
-  ModeGuard& operator=(const ModeGuard&) = delete;
-
- private:
-  SvmPredictMode prev_;
-};
-
-/// Same for the SIMD ISA.
+/// Restores the SIMD ISA on scope exit so one test's toggle cannot leak
+/// into another.
 class IsaGuard {
  public:
   explicit IsaGuard(simd::Isa isa) : prev_(simd::active()) {
@@ -94,14 +82,21 @@ Matrix probe_rows(std::size_t n, std::size_t classes = 3,
   return probes;
 }
 
-SvmClassifier train_blobs(SvmConfig cfg, std::size_t classes = 3,
-                          std::size_t per_class = 25, double spacing = 3.5) {
+/// A fitted classifier and the reference over the same machines.
+struct Trained {
+  SvmClassifier clf;
+  reference::OneVsOne ref;
+};
+
+Trained train_blobs(SvmConfig cfg, std::size_t classes = 3,
+                    std::size_t per_class = 25, double spacing = 3.5) {
   Matrix X;
   std::vector<int> y;
   make_blobs5(per_class, classes, X, y, spacing);
   SvmClassifier clf(cfg, 5);
   clf.fit(X, y, static_cast<int>(classes));
-  return clf;
+  return {clf, reference::OneVsOne::fit(X, y, static_cast<int>(classes),
+                                        cfg, 5)};
 }
 
 SvmConfig infer_config(Kernel kernel, bool probability) {
@@ -122,66 +117,39 @@ std::vector<double> plan_decisions(const SvmInferencePlan& plan,
   return out;
 }
 
-/// Compiled vs legacy on every probe: per-machine decision values within
+/// Plan vs reference on every probe: per-machine decision values within
 /// `tol`, labels and vote labels identical, probabilities within `tol`.
-void expect_matches_legacy(const SvmClassifier& clf, const Matrix& probes,
-                           double tol) {
+void expect_matches_reference(const SvmClassifier& clf,
+                              const reference::OneVsOne& ref,
+                              const Matrix& probes, double tol) {
   const auto& plan = clf.inference_plan();
+  ASSERT_EQ(plan.num_machines(), ref.machines.size());
   for (std::size_t p = 0; p < probes.rows(); ++p) {
     const auto x = probes.row(p);
     const auto dec = plan_decisions(plan, x);
-    for (std::size_t m = 0; m < clf.num_machines(); ++m) {
-      EXPECT_NEAR(dec[m], clf.machine(m).decision_value(x), tol)
-          << "machine " << m << " probe " << p;
+    const auto want = ref.decision_values(x);
+    for (std::size_t m = 0; m < dec.size(); ++m) {
+      EXPECT_NEAR(dec[m], want[m], tol) << "machine " << m << " probe " << p;
     }
-    std::vector<double> legacy_proba;
-    int legacy_label = 0;
-    int legacy_votes = 0;
-    {
-      ModeGuard guard(SvmPredictMode::kLegacy);
-      legacy_proba = clf.predict_proba(x);
-      legacy_label = clf.predict(x);
-      legacy_votes = clf.predict_by_votes(x);
-    }
-    ModeGuard guard(SvmPredictMode::kCompiled);
-    EXPECT_EQ(clf.predict(x), legacy_label) << "probe " << p;
-    EXPECT_EQ(clf.predict_by_votes(x), legacy_votes) << "probe " << p;
+    EXPECT_EQ(clf.predict(x), ref.predict(x)) << "probe " << p;
+    EXPECT_EQ(clf.predict_by_votes(x), ref.predict_by_votes(x))
+        << "probe " << p;
     const auto proba = clf.predict_proba(x);
-    ASSERT_EQ(proba.size(), legacy_proba.size());
+    const auto ref_proba = ref.predict_proba(x);
+    ASSERT_EQ(proba.size(), ref_proba.size());
     for (std::size_t c = 0; c < proba.size(); ++c) {
-      EXPECT_NEAR(proba[c], legacy_proba[c], tol)
+      EXPECT_NEAR(proba[c], ref_proba[c], tol)
           << "class " << c << " probe " << p;
     }
   }
 }
 
-TEST(SvmPredictMode, ParseAndNames) {
-  EXPECT_EQ(svm_predict_mode_from_string("legacy"), SvmPredictMode::kLegacy);
-  EXPECT_EQ(svm_predict_mode_from_string("compiled"),
-            SvmPredictMode::kCompiled);
-  EXPECT_FALSE(svm_predict_mode_from_string("auto").has_value());
-  EXPECT_FALSE(svm_predict_mode_from_string("").has_value());
-  EXPECT_EQ(svm_predict_mode_name(SvmPredictMode::kLegacy), "legacy");
-  EXPECT_EQ(svm_predict_mode_name(SvmPredictMode::kCompiled), "compiled");
-}
-
-TEST(SvmPredictMode, SetOverrides) {
-  const SvmPredictMode before = svm_predict_mode();
-  {
-    ModeGuard guard(SvmPredictMode::kLegacy);
-    EXPECT_EQ(svm_predict_mode(), SvmPredictMode::kLegacy);
-    set_svm_predict_mode(SvmPredictMode::kCompiled);
-    EXPECT_EQ(svm_predict_mode(), SvmPredictMode::kCompiled);
-  }
-  EXPECT_EQ(svm_predict_mode(), before);
-}
-
-// The core differential: for every kernel family, compiled labels /
-// vote labels match legacy exactly and decision values / probabilities
-// agree to 1e-10 (the compiled RBF path evaluates exp(−γ(‖x‖²+‖y‖²
-// −2x·y)) over class blocks instead of exp(−γ‖x−y‖²) per machine, so
-// bit-equality is not expected).
-TEST(SvmInferDifferential, CompiledMatchesLegacyAcrossKernels) {
+// The core differential: for every kernel family, plan labels / vote
+// labels match the reference exactly and decision values /
+// probabilities agree to 1e-10 (the plan's RBF path evaluates
+// exp(−γ(‖x‖²+‖y‖²−2x·y)) over class blocks instead of exp(−γ‖x−y‖²)
+// per machine, so bit-equality is not expected).
+TEST(SvmInferDifferential, PlanMatchesReferenceAcrossKernels) {
   const std::vector<Kernel> kernels = {
       Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.5, 1.0),
       Kernel::polynomial(2.5, 0.05, 3.0)};
@@ -189,26 +157,26 @@ TEST(SvmInferDifferential, CompiledMatchesLegacyAcrossKernels) {
   for (const auto& kernel : kernels) {
     for (const bool probability : {true, false}) {
       SCOPED_TRACE(kernel.name() + (probability ? " proba" : " votes"));
-      expect_matches_legacy(train_blobs(infer_config(kernel, probability)),
-                            probes, 1e-10);
+      const auto t = train_blobs(infer_config(kernel, probability));
+      expect_matches_reference(t.clf, t.ref, probes, 1e-10);
     }
   }
 }
 
 // The paper's shape: 20 classes, 190 machines, 19 coefficient rows.
-TEST(SvmInferDifferential, TwentyClassModelMatchesLegacy) {
-  const auto clf =
+// Every f64 decision value stays within 1e-10 of the per-machine walk.
+TEST(SvmInferDifferential, TwentyClassModelMatchesReference) {
+  const auto t =
       train_blobs(infer_config(Kernel::rbf(0.3), true), 20, 12, 1.2);
-  ASSERT_EQ(clf.num_machines(), 190u);
-  expect_matches_legacy(clf, probe_rows(40, 20, 1.2), 1e-10);
+  ASSERT_EQ(t.clf.num_machines(), 190u);
+  expect_matches_reference(t.clf, t.ref, probe_rows(40, 20, 1.2), 1e-10);
 }
 
 // The scalar ISA must reproduce the vector ISA through the plan (both
 // run the same norm-expansion math; only rounding differs).
 TEST(SvmInferDifferential, ScalarIsaMatchesVectorIsa) {
   if (!simd::available(simd::Isa::kAvx2)) GTEST_SKIP() << "scalar-only build";
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
+  const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true)).clf;
   const Matrix probes = probe_rows(8);
   std::vector<std::vector<double>> vec_proba;
   {
@@ -226,16 +194,48 @@ TEST(SvmInferDifferential, ScalarIsaMatchesVectorIsa) {
   }
 }
 
+// predict_shared (the tuning sweep's path) gathers the probe's cached
+// Gram row at the pool rows' provenance and reduces it with the plan's
+// coefficients: through a float64 cache its decision values match the
+// reference walk, and its labels match predict on the same rows.
+TEST(SvmInferDifferential, PredictSharedMatchesReference) {
+  Matrix X;
+  std::vector<int> y;
+  make_blobs5(25, 3, X, y);
+  auto cfg = infer_config(Kernel::rbf(0.3), true);
+  cfg.cache_precision = GramPrecision::kFloat64;
+  SharedGramCache cache(X, cfg.kernel, X.rows(), GramPrecision::kFloat64);
+  std::vector<std::size_t> rows(X.rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  SvmClassifier clf(cfg, 5);
+  clf.fit_shared(X, y, 3, &cache, rows);
+  const auto ref = reference::OneVsOne::fit(X, y, 3, cfg, 5);
+  const auto& plan = clf.inference_plan();
+  ASSERT_TRUE(plan.provenance_keyed());
+  SvmInferencePlan::Scratch scratch;
+  std::vector<double> dec(plan.num_machines());
+  for (const std::size_t r : rows) {
+    plan.decision_values_cached(cache, r, scratch, dec.data());
+    const auto want = ref.decision_values(X.row(r));
+    for (std::size_t m = 0; m < dec.size(); ++m) {
+      EXPECT_NEAR(dec[m], want[m], 1e-9) << "machine " << m << " row " << r;
+    }
+  }
+  const auto shared = clf.predict_shared(cache, rows);
+  for (const std::size_t r : rows) {
+    EXPECT_EQ(shared[r], ref.predict(X.row(r))) << "row " << r;
+  }
+}
+
 // A single query is the compiled batch of one, and the kernel's
 // per-query arithmetic does not depend on how many queries share a
 // call or where a query sits in it: batches of every shape equal the
 // single-row calls bit for bit (EXPECT_EQ on doubles), under each ISA.
 TEST(SvmInferBatch, BatchMatchesSingleExactly) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const Matrix all = probe_rows(515);
   for (const bool probability : {true, false}) {
     const auto clf =
-        train_blobs(infer_config(Kernel::rbf(0.3), probability));
+        train_blobs(infer_config(Kernel::rbf(0.3), probability)).clf;
     for (const auto isa : available_isas()) {
       SCOPED_TRACE(std::string(simd::isa_name(isa)) +
                    (probability ? " proba" : " votes"));
@@ -272,14 +272,16 @@ TEST(SvmInferBatch, BatchMatchesSingleExactly) {
 }
 
 TEST(SvmInferPlan, DedupStatsAndClassBlocks) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  // Default config: one-vs-one machines share the per-fit Gram cache,
-  // so every machine carries full-matrix provenance.
-  const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
-  const auto& plan = clf.inference_plan();
+  // Every fit slices its rows from a shared Gram cache, so every
+  // machine carries full-matrix provenance.
+  const auto t = train_blobs(infer_config(Kernel::rbf(0.3), true));
+  const auto& plan = t.clf.inference_plan();
   EXPECT_TRUE(plan.provenance_keyed());
-  EXPECT_EQ(plan.total_support_vectors(), clf.total_support_vectors());
-  EXPECT_EQ(plan.num_machines(), clf.num_machines());
+  std::size_t machine_svs = 0;
+  for (const auto& m : t.ref.machines) machine_svs += m.num_support_vectors();
+  EXPECT_EQ(plan.total_support_vectors(), machine_svs);
+  EXPECT_EQ(t.clf.total_support_vectors(), machine_svs);
+  EXPECT_EQ(plan.num_machines(), t.clf.num_machines());
   EXPECT_EQ(plan.dims(), 5u);
   // A 3-class one-vs-one fit reuses training rows across pairs; some
   // dedup must happen for the pool to be worth building.
@@ -296,46 +298,27 @@ TEST(SvmInferPlan, DedupStatsAndClassBlocks) {
   }
   EXPECT_EQ(unique, plan.unique_support_vectors());
   EXPECT_EQ(plan.pool_bytes(), padded * 5 * sizeof(double));
+  EXPECT_EQ(plan.coefficients().size(), 2 * padded);
 }
 
-TEST(SvmInferPlan, RoundTripPreservesUniqueCount) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  // Provenance arm: v2 serialization carries sv_full_rows, so the
-  // reloaded plan index-dedups to the same pool.
-  {
-    const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
-    const auto& plan = clf.inference_plan();
-    ASSERT_TRUE(plan.provenance_keyed());
-    std::stringstream stream;
-    clf.save(stream);
-    const auto loaded = SvmClassifier::load(stream);
-    const auto& reloaded = loaded.inference_plan();
-    EXPECT_TRUE(reloaded.provenance_keyed());
-    EXPECT_EQ(reloaded.unique_support_vectors(),
-              plan.unique_support_vectors());
-    EXPECT_EQ(reloaded.total_support_vectors(),
-              plan.total_support_vectors());
+// svm-ovo-v2 stores the pool itself: the reloaded plan has the same
+// unique and pre-dedup counts and class blocks, and no provenance
+// (that lives in memory only).
+TEST(SvmInferPlan, RoundTripPreservesPool) {
+  const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true)).clf;
+  const auto& plan = clf.inference_plan();
+  std::stringstream stream;
+  clf.save(stream);
+  const auto loaded = SvmClassifier::load(stream);
+  const auto& reloaded = loaded.inference_plan();
+  EXPECT_FALSE(reloaded.provenance_keyed());
+  EXPECT_EQ(reloaded.unique_support_vectors(), plan.unique_support_vectors());
+  EXPECT_EQ(reloaded.total_support_vectors(), plan.total_support_vectors());
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(reloaded.class_support_vectors(c),
+              plan.class_support_vectors(c));
   }
-  // Content arm: machines fitted without the shared cache carry no
-  // provenance; dedup falls back to content hashing on both sides of
-  // the round trip and still finds the same pool (shared training rows
-  // are gathered bit-identically into each machine).
-  {
-    auto cfg = infer_config(Kernel::rbf(0.3), true);
-    cfg.share_kernel_cache = false;
-    const auto clf = train_blobs(cfg);
-    const auto& plan = clf.inference_plan();
-    EXPECT_FALSE(plan.provenance_keyed());
-    std::stringstream stream;
-    clf.save(stream);
-    const auto loaded = SvmClassifier::load(stream);
-    const auto& reloaded = loaded.inference_plan();
-    EXPECT_FALSE(reloaded.provenance_keyed());
-    EXPECT_EQ(reloaded.unique_support_vectors(),
-              plan.unique_support_vectors());
-    EXPECT_EQ(reloaded.total_support_vectors(),
-              plan.total_support_vectors());
-  }
+  EXPECT_EQ(reloaded.pool_bytes(), plan.pool_bytes());
 }
 
 // A crafted v1 stream (no provenance vectors) in which the row (1, 2)
@@ -345,7 +328,6 @@ TEST(SvmInferPlan, RoundTripPreservesUniqueCount) {
 // (1,2)'s class-1 coefficient would land in class 0's block.  Row
 // (3, 4) supports class 1 in two machines and must merge.
 TEST(SvmInferPlan, V1StreamDedupKeysOnClassAndRow) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const auto machine = [](double rho, const std::string& coef,
                           const std::string& rows) {
     return "binary-svm-v1\nkernel_type 1\ngamma 0.5\ndegree 3\ncoef0 0\n"
@@ -353,13 +335,16 @@ TEST(SvmInferPlan, V1StreamDedupKeysOnClassAndRow) {
            "\nhas_platt 1\nplatt_a -2\nplatt_b 0\n" + coef + "\ndims 2\n" +
            rows;
   };
-  std::stringstream stream(
+  const std::string text =
       "svm-ovo-v1\nclasses 3\nprobability 1\nmachines 3\n" +
       machine(0.1, "svs 2", "coef 2 1 -1\nsv 2 1 2\nsv 2 3 4\n") +
       machine(0.2, "svs 2", "coef 2 1 -0.5\nsv 2 1 2\nsv 2 5 6\n") +
       machine(0.3, "svs 3",
-              "coef 3 0.5 1 -1.5\nsv 2 1 2\nsv 2 3 4\nsv 2 5 6\n"));
+              "coef 3 0.5 1 -1.5\nsv 2 1 2\nsv 2 3 4\nsv 2 5 6\n");
+  std::stringstream stream(text);
   const auto clf = SvmClassifier::load(stream);
+  std::stringstream ref_stream(text);
+  const auto ref = reference::OneVsOne::from_v1(ref_stream);
   const auto& plan = clf.inference_plan();
   EXPECT_FALSE(plan.provenance_keyed());
   EXPECT_EQ(plan.total_support_vectors(), 7u);
@@ -372,7 +357,7 @@ TEST(SvmInferPlan, V1StreamDedupKeysOnClassAndRow) {
            {1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}, {2.0, 3.0}, {0.0, 0.0}}) {
     probes.append_row(x);
   }
-  expect_matches_legacy(clf, probes, 1e-10);
+  expect_matches_reference(clf, ref, probes, 1e-10);
 }
 
 // The allocation-free coupling path and the public Matrix wrapper run
@@ -397,64 +382,43 @@ TEST(SvmCoupling, ScratchMatchesMatrixWrapperExactly) {
   }
 }
 
-// Regression for concurrent first use: two threads race predict_batch
-// against predict_proba on a freshly loaded model (no plan yet); the
-// call_once build must run exactly once and both threads must see a
-// fully formed plan.
-TEST(SvmInferConcurrency, ConcurrentFirstUseBuildsOnce) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  const auto trained = train_blobs(infer_config(Kernel::rbf(0.3), true));
+// Two threads race predict_batch against predict_proba on a freshly
+// loaded model (and on a copy, which shares the loaded plan); both see
+// the serial results of an independently loaded model.
+TEST(SvmInferConcurrency, ConcurrentPredictionsOnLoadedModel) {
+  const auto trained =
+      train_blobs(infer_config(Kernel::rbf(0.3), true)).clf;
   std::stringstream stream;
   trained.save(stream);
 
   const Matrix probes = probe_rows(16);
-  // Serial reference from an independently loaded copy.
   std::stringstream ref_stream(stream.str());
   const auto reference = SvmClassifier::load(ref_stream);
   const auto ref_labels = reference.predict_batch(probes);
   const auto ref_proba = reference.predict_proba(probes.row(0));
 
-  auto& builds =
-      obs::MetricsRegistry::instance().counter("svm.plan.builds");
-  const std::uint64_t builds_before = builds.value();
-
   const auto fresh = SvmClassifier::load(stream);
-  ASSERT_EQ(fresh.plan_if_built(), nullptr);
+  const SvmClassifier copy = fresh;
+  EXPECT_EQ(&copy.inference_plan(), &fresh.inference_plan());
   std::vector<int> labels;
   std::vector<double> proba;
-  std::thread batch_thread(
-      [&] { labels = fresh.predict_batch(probes); });
+  std::thread batch_thread([&] { labels = fresh.predict_batch(probes); });
   std::thread proba_thread(
-      [&] { proba = fresh.predict_proba(probes.row(0)); });
+      [&] { proba = copy.predict_proba(probes.row(0)); });
   batch_thread.join();
   proba_thread.join();
-
-  EXPECT_EQ(builds.value(), builds_before + 1);
-  ASSERT_NE(fresh.plan_if_built(), nullptr);
   EXPECT_EQ(labels, ref_labels);
   EXPECT_EQ(proba, ref_proba);
 }
 
-TEST(SvmInferPlan, EagerAfterFitLazyAfterLoad) {
-  // Compiled-mode fits build the plan eagerly; legacy-mode fits skip it
-  // (a grid search under the legacy toggle never pays for pools).
-  {
-    ModeGuard mode(SvmPredictMode::kCompiled);
-    const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), false));
-    EXPECT_NE(clf.plan_if_built(), nullptr);
-  }
-  {
-    ModeGuard mode(SvmPredictMode::kLegacy);
-    const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), false));
-    EXPECT_EQ(clf.plan_if_built(), nullptr);
-  }
-}
-
 TEST(SvmInferPlan, RejectsUntrainedAndMismatchedProbes) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   SvmClassifier clf;
   EXPECT_THROW(clf.inference_plan(), InvalidArgument);
-  const auto trained = train_blobs(infer_config(Kernel::rbf(0.3), false));
+  EXPECT_THROW(clf.predict(std::vector<double>(5, 0.0)), InvalidArgument);
+  std::stringstream unsaved;
+  EXPECT_THROW(clf.save(unsaved), InvalidArgument);
+  const auto trained =
+      train_blobs(infer_config(Kernel::rbf(0.3), false)).clf;
   const auto& plan = trained.inference_plan();
   std::vector<double> krow(plan.unique_support_vectors());
   const std::vector<double> narrow{1.0, 2.0};
@@ -471,7 +435,6 @@ TEST(SvmInferPlan, RejectsUntrainedAndMismatchedProbes) {
 class SvmServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    set_svm_predict_mode(SvmPredictMode::kCompiled);
     workload::WorkloadGenerator gen(
         workload::WorkloadGenerator::standard({}, 55));
     const auto schema = supremm::AttributeSchema::full();
