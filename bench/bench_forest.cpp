@@ -1,18 +1,16 @@
-// Random-forest training perf harness: exact sort-and-scan splits vs
-// histogram-binned splits over a shared BinnedDataset.
+// Random-forest training perf harness: histogram-binned splits over a
+// shared BinnedDataset.
 //
 // Times the forest hot path and records the results as machine-readable
 // JSON (BENCH_forest.json by default; override with --json=<path> or
 // XDMODML_BENCH_JSON):
 //   1. binning cost — one BinnedDataset build over the full training
-//      table (the once-per-forest cost the hist arm amortises);
-//   2. the headline 200-tree job-classification fit, exact vs hist,
-//      with the OOB error of both arms (the acceptance bar: >= 2x
-//      wall-clock, OOB within 1% absolute);
-//   3. a tree-count sweep (50/100/200 trees) of both arms;
-//   4. a feature-width sweep (8/16/full attributes) of both arms, the
-//      hist arm deriving each subset from the shared codes via
-//      select_features instead of re-binning.
+//      table (the once-per-forest cost every tree amortises);
+//   2. the headline 200-tree job-classification fit with its OOB error;
+//   3. a tree-count sweep (50/100/200 trees);
+//   4. a feature-width sweep (8/16/full attributes), each subset's codes
+//      derived from the shared table via select_features instead of
+//      re-binning.
 // Every op is a median over warmed-up repeats (time_median_ms); sizes
 // honour XDMODML_SCALE like every other bench.  With --metrics the rows
 // carry the observability snapshot (tree.nodes, tree.hist_built,
@@ -45,10 +43,9 @@ ml::Dataset make_forest_dataset(std::size_t per_class) {
       jobs, schema, supremm::label_by_application(), table2_applications());
 }
 
-ml::ForestConfig forest_config(std::size_t trees, ml::SplitAlgo algo) {
+ml::ForestConfig forest_config(std::size_t trees) {
   ml::ForestConfig cfg;
   cfg.num_trees = trees;
-  cfg.tree.split_algo = algo;
   return cfg;
 }
 
@@ -71,7 +68,7 @@ void run_experiment() {
   const std::size_t headline_trees = scaled(200);
   const auto ds = make_forest_dataset(per_class);
   const std::size_t n = ds.size();
-  std::printf("=== random-forest split-search timings ===\n");
+  std::printf("=== random-forest training timings ===\n");
   std::printf("dataset: %zu jobs, %zu features, %zu classes, %zu threads\n\n",
               n, ds.num_features(), ds.num_classes(), threads);
 
@@ -90,54 +87,34 @@ void run_experiment() {
   json.record("bench_forest", "binned_build", bin_t.median_ms, n, threads,
               bin_t.repeats);
 
-  // ---- 2. headline fit: exact vs hist ------------------------------
-  double oob_exact = 0.0;
-  double oob_hist = 0.0;
-  const auto cfg_exact = forest_config(headline_trees, ml::SplitAlgo::kExact);
-  const auto cfg_hist = forest_config(headline_trees, ml::SplitAlgo::kHist);
-  const auto exact_t =
-      time_median_ms([&] { oob_exact = fit_oob(ds, cfg_exact); }, 3);
-  const auto hist_t =
-      time_median_ms([&] { oob_hist = fit_oob(ds, cfg_hist); }, 3);
-  std::printf("%zu-tree fit (%zu jobs, median of %zu):\n", headline_trees, n,
-              exact_t.repeats);
-  std::printf("  exact splits : %9.2f ms  (OOB %.4f)\n", exact_t.median_ms,
-              oob_exact);
-  std::printf("  hist splits  : %9.2f ms  (OOB %.4f)\n", hist_t.median_ms,
-              oob_hist);
-  std::printf("  speedup      : %9.2fx  (OOB delta %+.4f)\n\n",
-              exact_t.median_ms / hist_t.median_ms, oob_hist - oob_exact);
-  json.record("bench_forest", "fit200_exact", exact_t.median_ms, n, threads,
-              exact_t.repeats);
-  json.record("bench_forest", "fit200_hist", hist_t.median_ms, n, threads,
-              hist_t.repeats);
-  // OOB error in percent, recorded so the trajectory can assert parity
-  // (wall_ms carries the value; these rows are accuracy, not time).
-  json.record("bench_forest", "oob200_exact_pct", 100.0 * oob_exact, n,
-              threads, exact_t.repeats);
-  json.record("bench_forest", "oob200_hist_pct", 100.0 * oob_hist, n, threads,
-              hist_t.repeats);
+  // ---- 2. headline fit --------------------------------------------
+  double oob = 0.0;
+  const auto cfg = forest_config(headline_trees);
+  const auto fit_t = time_median_ms([&] { oob = fit_oob(ds, cfg); }, 3);
+  std::printf(
+      "%zu-tree fit (%zu jobs, median of %zu): %9.2f ms  (OOB %.4f)\n\n",
+      headline_trees, n, fit_t.repeats, fit_t.median_ms, oob);
+  json.record("bench_forest", "fit200_hist", fit_t.median_ms, n, threads,
+              fit_t.repeats);
+  // OOB error in percent, recorded so the trajectory can track accuracy
+  // (wall_ms carries the value; this row is accuracy, not time).
+  json.record("bench_forest", "oob200_hist_pct", 100.0 * oob, n, threads,
+              fit_t.repeats);
 
   // ---- 3. tree-count sweep -----------------------------------------
   std::printf("tree-count sweep (median of 3):\n");
   for (const std::size_t base : {50, 100, 200}) {
     const std::size_t trees = scaled(static_cast<std::size_t>(base));
-    const auto ce = forest_config(trees, ml::SplitAlgo::kExact);
-    const auto ch = forest_config(trees, ml::SplitAlgo::kHist);
-    const auto te = time_median_ms([&] { fit_oob(ds, ce); }, 3);
-    const auto th = time_median_ms([&] { fit_oob(ds, ch); }, 3);
-    std::printf("  %4zu trees: exact %9.2f ms, hist %9.2f ms  (%.2fx)\n",
-                trees, te.median_ms, th.median_ms,
-                te.median_ms / th.median_ms);
-    json.record("bench_forest", "trees" + std::to_string(base) + "_exact",
-                te.median_ms, n, threads, te.repeats);
+    const auto sweep_cfg = forest_config(trees);
+    const auto fit = time_median_ms([&] { fit_oob(ds, sweep_cfg); }, 3);
+    std::printf("  %4zu trees: %9.2f ms\n", trees, fit.median_ms);
     json.record("bench_forest", "trees" + std::to_string(base) + "_hist",
-                th.median_ms, n, threads, th.repeats);
+                fit.median_ms, n, threads, fit.repeats);
   }
   std::printf("\n");
 
   // ---- 4. feature-width sweep --------------------------------------
-  // The hist arm reuses the full-table codes: each width's dataset is a
+  // Each width reuses the full-table codes: its dataset is a
   // select_features view of the one shared BinnedDataset, the same path
   // the predictor-sweep experiment (Figure 6) takes per cutoff.
   const auto shared = std::make_shared<const ml::BinnedDataset>(ds.X);
@@ -151,42 +128,27 @@ void run_experiment() {
     std::vector<std::size_t> keep(width);
     std::iota(keep.begin(), keep.end(), 0);
     const auto sub = ds.select_features(keep);
-    const auto ce = forest_config(sweep_trees, ml::SplitAlgo::kExact);
-    const auto ch = forest_config(sweep_trees, ml::SplitAlgo::kHist);
-    const auto te = time_median_ms([&] { fit_oob(sub, ce); }, 3);
-    const auto th = time_median_ms(
+    const auto sweep_cfg = forest_config(sweep_trees);
+    const auto fit = time_median_ms(
         [&] {
           const auto sub_binned = std::make_shared<const ml::BinnedDataset>(
               shared->select_features(keep));
-          ml::RandomForestClassifier forest(ch, 7);
+          ml::RandomForestClassifier forest(sweep_cfg, 7);
           forest.fit_rows(sub.X, sub.labels,
                           static_cast<int>(sub.num_classes()), all_rows,
                           sub_binned);
         },
         3);
-    std::printf("  %4zu features: exact %9.2f ms, hist %9.2f ms  (%.2fx)\n",
-                width, te.median_ms, th.median_ms,
-                te.median_ms / th.median_ms);
-    json.record("bench_forest", "width" + std::to_string(width) + "_exact",
-                te.median_ms, n, threads, te.repeats);
+    std::printf("  %4zu features: %9.2f ms\n", width, fit.median_ms);
     json.record("bench_forest", "width" + std::to_string(width) + "_hist",
-                th.median_ms, n, threads, th.repeats);
+                fit.median_ms, n, threads, fit.repeats);
   }
   json.write();
 }
 
-void bm_forest_fit_exact(benchmark::State& state) {
-  const auto ds = make_forest_dataset(20);
-  const auto cfg = forest_config(20, ml::SplitAlgo::kExact);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fit_oob(ds, cfg));
-  }
-}
-BENCHMARK(bm_forest_fit_exact)->Unit(benchmark::kMillisecond);
-
 void bm_forest_fit_hist(benchmark::State& state) {
   const auto ds = make_forest_dataset(20);
-  const auto cfg = forest_config(20, ml::SplitAlgo::kHist);
+  const auto cfg = forest_config(20);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fit_oob(ds, cfg));
   }

@@ -53,11 +53,7 @@ std::vector<SweepPoint> predictor_sweep(
   // forests run on the raw features — which lets the full training table
   // be quantile-binned ONCE here, with every cutoff's forest reusing the
   // column subset of the shared codes instead of re-binning per k.
-  std::shared_ptr<const ml::BinnedDataset> binned_full;
-  if (ml::resolve_split_algo(config.tree.split_algo) ==
-      ml::SplitAlgo::kHist) {
-    binned_full = std::make_shared<const ml::BinnedDataset>(train.X);
-  }
+  const ml::BinnedDataset binned_full(train.X);
   std::vector<std::size_t> all_rows(train.size());
   std::iota(all_rows.begin(), all_rows.end(), 0);
 
@@ -76,11 +72,8 @@ std::vector<SweepPoint> predictor_sweep(
     const auto sub_train = train.select_features(keep);
     const auto sub_test = test.select_features(keep);
 
-    std::shared_ptr<const ml::BinnedDataset> sub_binned;
-    if (binned_full != nullptr) {
-      sub_binned = std::make_shared<const ml::BinnedDataset>(
-          binned_full->select_features(keep));
-    }
+    const auto sub_binned = std::make_shared<const ml::BinnedDataset>(
+        binned_full.select_features(keep));
     ml::RandomForestClassifier forest(config, seed);
     forest.fit_rows(sub_train.X, sub_train.labels,
                     static_cast<int>(sub_train.num_classes()), all_rows,

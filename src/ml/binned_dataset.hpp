@@ -1,8 +1,8 @@
 // Quantile-binned feature codes for histogram-based tree training.
 //
-// The tree engine's exact split search re-sorts the samples reaching a
-// node for every candidate feature — O(n log n) per feature per node.
-// `BinnedDataset` pays that sort ONCE per feature for the whole matrix:
+// Sort-and-scan CART re-sorts the samples reaching a node for every
+// candidate feature — O(n log n) per feature per node.  `BinnedDataset`
+// pays that sort ONCE per feature for the whole matrix:
 // each feature is quantile-binned into at most 256 bins and stored as
 // column-major `uint8` codes.  A tree node then scores a feature by
 // accumulating a per-bin histogram in one O(n) pass and scanning the
@@ -15,9 +15,9 @@
 // smallest and largest raw value that was binned into it.  A split
 // between bins `lo < hi` materializes as the midpoint of
 // `bin_max(lo)` and `bin_min(hi)` — when every distinct value gets its
-// own bin this is bit-identical to the exact arm's midpoint between
-// consecutive distinct values, which is what the binned-vs-exact
-// equivalence tests lock down.
+// own bin this is bit-identical to sort-and-scan CART's midpoint between
+// consecutive distinct values, which is what the equivalence tests
+// against tests/cart_reference.hpp lock down.
 #pragma once
 
 #include <cstddef>

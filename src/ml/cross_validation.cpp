@@ -78,12 +78,8 @@ CvResult forest_cross_validate(const Dataset& ds, const ForestConfig& config,
   const auto fold_of = stratified_folds(ds.labels, folds, rng);
 
   // Bin the full matrix once; every fold's forest trains on a row subset
-  // of the same codes.  With the exact split algorithm the shared
-  // dataset is simply ignored by the trees.
-  std::shared_ptr<const BinnedDataset> binned;
-  if (resolve_split_algo(config.tree.split_algo) == SplitAlgo::kHist) {
-    binned = std::make_shared<const BinnedDataset>(ds.X);
-  }
+  // of the same codes.
+  const auto binned = std::make_shared<const BinnedDataset>(ds.X);
 
   const int num_classes = static_cast<int>(ds.num_classes());
   CvResult result;

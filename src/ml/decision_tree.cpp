@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -14,47 +12,15 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
-namespace xdmodml::ml {
-
-SplitAlgo resolve_split_algo(SplitAlgo requested) {
-  if (requested != SplitAlgo::kAuto) return requested;
-  static const SplitAlgo from_env = [] {
-    if (const char* v = std::getenv("XDMODML_TREE_SPLIT")) {
-      if (std::strcmp(v, "exact") == 0) return SplitAlgo::kExact;
-      if (std::strcmp(v, "hist") == 0) return SplitAlgo::kHist;
-      std::fprintf(stderr,
-                   "xdmodml: XDMODML_TREE_SPLIT=%s unknown (want exact or "
-                   "hist); using hist\n",
-                   v);
-    }
-    return SplitAlgo::kHist;
-  }();
-  return from_env;
-}
-
-}  // namespace xdmodml::ml
-
 namespace xdmodml::ml::detail {
 
 namespace {
 
-/// Gini impurity of a class-count vector with `total` samples.
-double gini(std::span<const std::size_t> counts, std::size_t total) {
-  if (total == 0) return 0.0;
-  double sum_sq = 0.0;
-  for (const auto c : counts) {
-    const double p = static_cast<double>(c) / static_cast<double>(total);
-    sum_sq += p * p;
-  }
-  return 1.0 - sum_sq;
-}
-
-/// Same impurity over integral counts stored as doubles (histogram
-/// accumulators).  The arithmetic matches `gini` exactly: an integral
-/// double divided by double(total) is the same value the size_t version
-/// computes, so the two split arms score identical partitions
-/// identically.
-double gini_counts(std::span<const double> counts, std::size_t total) {
+/// Gini impurity of integral class counts stored as doubles (histogram
+/// accumulators) over `total` samples.  An integral double divided by
+/// double(total) is the value integer counts would give, so this scores
+/// a partition exactly as sort-and-scan CART does.
+double gini(std::span<const double> counts, std::size_t total) {
   if (total == 0) return 0.0;
   double sum_sq = 0.0;
   for (const double c : counts) {
@@ -74,21 +40,13 @@ constexpr std::size_t kMaxStoredLevels = 64;
 }  // namespace
 
 struct TreeEngine::BuildContext {
-  const Matrix* X = nullptr;
   std::span<const int> y_class;
   std::span<const double> y_value;
   std::vector<std::size_t> samples;  // reordered in place during the build
   Rng* rng = nullptr;
-  // Scratch buffers reused across nodes (hoisted out of the split loop so
-  // neither arm touches the allocator per candidate feature).
+  // Scratch reused across nodes (hoisted out of the split loop so no
+  // candidate feature touches the allocator).
   std::vector<std::size_t> feature_pool;
-  std::vector<std::pair<double, std::size_t>> sorted;  // (value, sample idx)
-  std::vector<std::size_t> node_counts;  // per-class counts of the node
-  std::vector<std::size_t> left_counts;  // exact-arm running counts
-  std::vector<std::size_t> right_counts;
-
-  // ---- histogram-arm (kHist) state ----
-  SplitAlgo algo = SplitAlgo::kExact;
   bool classification = true;
   const BinnedDataset* binned = nullptr;
   std::size_t width = 0;  // doubles per bin: num_classes, or 3 for regression
@@ -125,11 +83,10 @@ struct TreeEngine::BuildContext {
   std::vector<std::uint32_t> bin_stamp;  // touched-bin dedup (kMaxBins)
   std::uint32_t stamp_gen = 0;
   std::vector<double> node_stats;          // node totals (width doubles)
-  std::vector<double> left_acc, right_acc; // hist-scan running stats
+  std::vector<double> left_acc, right_acc; // scan running stats
 
   // Per-fit tallies, flushed to util/metrics once per fit (coarse sites).
   std::uint64_t tally_nodes = 0;
-  std::uint64_t tally_sorted_values = 0;
   std::uint64_t tally_hist_built = 0;
   std::uint64_t tally_hist_subtracted = 0;
   std::uint64_t tally_scan_bins = 0;
@@ -316,34 +273,32 @@ void TreeEngine::fit(const Matrix& X, std::span<const int> y_class,
   }
   num_classes_ = num_classes;
   num_features_ = X.cols();
-  nodes_.clear();
+  feature_.clear();
+  threshold_.clear();
+  right_.clear();
+  leaf_.clear();
+  leaf_pool_.clear();
   impurity_importance_.assign(num_features_, 0.0);
 
+  std::unique_ptr<BinnedDataset> owned;
+  if (binned == nullptr) {
+    owned = std::make_unique<BinnedDataset>(X);
+    binned = owned.get();
+  }
+  XDMODML_CHECK(binned->rows() == X.rows() && binned->features() == X.cols(),
+                "binned dataset does not match X");
+
   BuildContext ctx;
-  ctx.X = &X;
   ctx.y_class = y_class;
   ctx.y_value = y_value;
   ctx.samples.assign(sample_indices.begin(), sample_indices.end());
   ctx.rng = &rng;
   ctx.feature_pool.resize(num_features_);
   std::iota(ctx.feature_pool.begin(), ctx.feature_pool.end(), 0);
-  ctx.algo = resolve_split_algo(config_.split_algo);
   ctx.classification = task_ == Task::kClassification;
-
-  std::unique_ptr<BinnedDataset> owned;
-  if (ctx.algo == SplitAlgo::kHist) {
-    if (binned == nullptr) {
-      owned = std::make_unique<BinnedDataset>(X);
-      binned = owned.get();
-    }
-    XDMODML_CHECK(binned->rows() == X.rows() &&
-                      binned->features() == X.cols(),
-                  "binned dataset does not match X");
-    ctx.binned = binned;
-    ctx.width =
-        ctx.classification ? static_cast<std::size_t>(num_classes) : 3;
-    ctx.bin_stamp.assign(BinnedDataset::kMaxBins, 0);
-  }
+  ctx.binned = binned;
+  ctx.width = ctx.classification ? static_cast<std::size_t>(num_classes) : 3;
+  ctx.bin_stamp.assign(BinnedDataset::kMaxBins, 0);
 
   build_node(ctx, 0, ctx.samples.size(), 0);
 
@@ -351,71 +306,68 @@ void TreeEngine::fit(const Matrix& X, std::span<const int> y_class,
   // per node or per bin.
   auto& registry = obs::MetricsRegistry::instance();
   static auto& nodes_counter = registry.counter("tree.nodes");
-  static auto& sorted_counter = registry.counter("tree.exact_sorted_values");
   static auto& built_counter = registry.counter("tree.hist_built");
   static auto& subtracted_counter = registry.counter("tree.hist_subtracted");
   static auto& scan_counter = registry.counter("tree.hist_scan_bins");
   nodes_counter.inc(ctx.tally_nodes);
-  sorted_counter.inc(ctx.tally_sorted_values);
   built_counter.inc(ctx.tally_hist_built);
   subtracted_counter.inc(ctx.tally_hist_subtracted);
   scan_counter.inc(ctx.tally_scan_bins);
 }
 
+std::size_t TreeEngine::push_node(std::int32_t feature, double threshold) {
+  feature_.push_back(feature);
+  threshold_.push_back(threshold);
+  right_.push_back(0);
+  leaf_.push_back(
+      feature < 0 ? static_cast<std::uint32_t>(leaf_pool_.size()) : 0);
+  return feature_.size() - 1;
+}
+
 std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
                                    std::size_t end, std::size_t depth_now) {
-  const Matrix& X = *ctx.X;
   const std::size_t n = end - begin;
-  const std::size_t node_index = nodes_.size();
-  nodes_.emplace_back();
+  const auto nd = static_cast<double>(n);
   ++ctx.tally_nodes;
+  ctx.claim_level(depth_now, begin, end);
 
-  const bool hist = ctx.algo == SplitAlgo::kHist;
-  if (hist) ctx.claim_level(depth_now, begin, end);
-
-  // Node statistics.
-  auto& counts = ctx.node_counts;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  if (task_ == Task::kClassification) {
-    counts.assign(static_cast<std::size_t>(num_classes_), 0);
+  // Node totals: class counts, or (count, sum, sum of squares).
+  auto& totals = ctx.node_stats;
+  double node_impurity = 0.0;
+  bool pure = false;
+  if (ctx.classification) {
+    totals.assign(ctx.width, 0.0);
     for (std::size_t i = begin; i < end; ++i) {
-      ++counts[static_cast<std::size_t>(ctx.y_class[ctx.samples[i]])];
+      totals[static_cast<std::size_t>(ctx.y_class[ctx.samples[i]])] += 1.0;
     }
+    node_impurity = gini(totals, n);
+    pure = std::count_if(totals.begin(), totals.end(),
+                         [](double c) { return c > 0.0; }) <= 1;
   } else {
+    double sum = 0.0;
+    double sum_sq = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
       const double v = ctx.y_value[ctx.samples[i]];
       sum += v;
       sum_sq += v * v;
     }
+    totals.assign({nd, sum, sum_sq});
+    node_impurity = std::max(0.0, sum_sq / nd - (sum / nd) * (sum / nd));
+    pure = node_impurity <= 1e-12;
   }
-  const double node_impurity =
-      task_ == Task::kClassification
-          ? gini(counts, n)
-          : std::max(0.0, sum_sq / static_cast<double>(n) -
-                              (sum / static_cast<double>(n)) *
-                                  (sum / static_cast<double>(n)));
 
+  // Leaves are pushed before returning and split nodes before their
+  // children, so the arrays come out in preorder.
   auto make_leaf = [&]() {
-    TreeNode& leaf = nodes_[node_index];
-    leaf.feature = -1;
-    if (task_ == Task::kClassification) {
-      leaf.class_probs.resize(counts.size());
-      for (std::size_t c = 0; c < counts.size(); ++c) {
-        leaf.class_probs[c] =
-            static_cast<double>(counts[c]) / static_cast<double>(n);
-      }
+    const std::size_t node = push_node(-1, 0.0);
+    if (ctx.classification) {
+      for (const double c : totals) leaf_pool_.push_back(c / nd);
     } else {
-      leaf.value = sum / static_cast<double>(n);
+      leaf_pool_.push_back(totals[1] / nd);
     }
-    return node_index;
+    return node;
   };
 
-  const bool pure =
-      task_ == Task::kClassification
-          ? std::count_if(counts.begin(), counts.end(),
-                          [](std::size_t c) { return c > 0; }) <= 1
-          : node_impurity <= 1e-12;
   if (pure || n < config_.min_samples_split ||
       (config_.max_depth != 0 && depth_now >= config_.max_depth)) {
     return make_leaf();
@@ -426,10 +378,7 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
   // convention): the lazy Fisher–Yates below keeps drawing fresh features
   // until mtry *splittable* candidates have been scored or the pool is
   // exhausted.  Without this, one-hot-heavy feature spaces starve small
-  // mtry values of usable candidates.  Both split arms draw features the
-  // same way, so on data where binning is lossless (every distinct value
-  // in its own bin) their RNG streams — and therefore their trees — stay
-  // aligned.
+  // mtry values of usable candidates.
   const std::size_t mtry =
       config_.max_features == 0
           ? num_features_
@@ -441,175 +390,79 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
   int best_bin = -1;
   std::size_t evaluated = 0;
 
-  if (hist) {
-    // Histograms are kept for the subtraction trick only on nodes large
-    // enough that a child rescan would dominate the buffer cost, with a
-    // depth cap bounding worst-case memory.
-    const bool store = n >= 2 * ctx.binned->max_bins_used() &&
-                       depth_now < kMaxStoredLevels;
-    auto& totals = ctx.node_stats;
-    if (task_ == Task::kClassification) {
-      totals.resize(ctx.width);
-      for (std::size_t c = 0; c < ctx.width; ++c) {
-        totals[c] = static_cast<double>(counts[c]);
+  // Histograms are kept for the subtraction trick only on nodes large
+  // enough that a child rescan would dominate the buffer cost, with a
+  // depth cap bounding worst-case memory.
+  const bool store = n >= 2 * ctx.binned->max_bins_used() &&
+                     depth_now < kMaxStoredLevels;
+  for (std::size_t fi = 0; fi < num_features_ && evaluated < mtry; ++fi) {
+    const std::size_t j =
+        fi + static_cast<std::size_t>(ctx.rng->uniform_index(
+                 static_cast<std::uint64_t>(num_features_ - fi)));
+    std::swap(ctx.feature_pool[fi], ctx.feature_pool[j]);
+    const std::size_t f = ctx.feature_pool[fi];
+    const auto* h = ctx.node_hist(depth_now, f, begin, end, store);
+    const auto& touched = h->touched;
+    if (touched.size() < 2) continue;  // constant within this node
+    ++evaluated;
+    ctx.tally_scan_bins += touched.size();
+
+    auto& left = ctx.left_acc;
+    auto& right = ctx.right_acc;
+    left.assign(ctx.width, 0.0);
+    right.assign(totals.begin(), totals.end());
+    if (ctx.classification) {
+      std::size_t nl = 0;
+      for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
+        const double* hb = h->data.data() + touched[t] * ctx.width;
+        double moved = 0.0;
+        for (std::size_t c = 0; c < ctx.width; ++c) {
+          left[c] += hb[c];
+          right[c] -= hb[c];
+          moved += hb[c];
+        }
+        nl += static_cast<std::size_t>(moved);
+        const std::size_t nr = n - nl;
+        if (nl < config_.min_samples_leaf ||
+            nr < config_.min_samples_leaf) {
+          continue;
+        }
+        const double gain =
+            node_impurity -
+            (static_cast<double>(nl) * gini(left, nl) +
+             static_cast<double>(nr) * gini(right, nr)) /
+                nd;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int>(f);
+          best_bin = touched[t];
+          best_threshold =
+              ctx.binned->split_threshold(f, touched[t], touched[t + 1]);
+        }
       }
     } else {
-      totals.assign({static_cast<double>(n), sum, sum_sq});
-    }
-    for (std::size_t fi = 0; fi < num_features_ && evaluated < mtry; ++fi) {
-      const std::size_t j =
-          fi + static_cast<std::size_t>(ctx.rng->uniform_index(
-                   static_cast<std::uint64_t>(num_features_ - fi)));
-      std::swap(ctx.feature_pool[fi], ctx.feature_pool[j]);
-      const std::size_t f = ctx.feature_pool[fi];
-      const auto* h = ctx.node_hist(depth_now, f, begin, end, store);
-      const auto& touched = h->touched;
-      if (touched.size() < 2) continue;  // constant within this node
-      ++evaluated;
-      ctx.tally_scan_bins += touched.size();
-
-      auto& left = ctx.left_acc;
-      auto& right = ctx.right_acc;
-      left.assign(ctx.width, 0.0);
-      right.assign(totals.begin(), totals.end());
-      if (task_ == Task::kClassification) {
-        std::size_t nl = 0;
-        for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
-          const double* hb = h->data.data() + touched[t] * ctx.width;
-          double moved = 0.0;
-          for (std::size_t c = 0; c < ctx.width; ++c) {
-            left[c] += hb[c];
-            right[c] -= hb[c];
-            moved += hb[c];
-          }
-          nl += static_cast<std::size_t>(moved);
-          const std::size_t nr = n - nl;
-          if (nl < config_.min_samples_leaf ||
-              nr < config_.min_samples_leaf) {
-            continue;
-          }
-          const double gain =
-              node_impurity -
-              (static_cast<double>(nl) * gini_counts(left, nl) +
-               static_cast<double>(nr) * gini_counts(right, nr)) /
-                  static_cast<double>(n);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<int>(f);
-            best_bin = touched[t];
-            best_threshold =
-                ctx.binned->split_threshold(f, touched[t], touched[t + 1]);
-          }
+      const auto min_leaf =
+          static_cast<double>(config_.min_samples_leaf);
+      for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
+        const double* hb = h->data.data() + touched[t] * 3;
+        for (std::size_t c = 0; c < 3; ++c) {
+          left[c] += hb[c];
+          right[c] -= hb[c];
         }
-      } else {
-        const auto min_leaf =
-            static_cast<double>(config_.min_samples_leaf);
-        for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
-          const double* hb = h->data.data() + touched[t] * 3;
-          for (std::size_t c = 0; c < 3; ++c) {
-            left[c] += hb[c];
-            right[c] -= hb[c];
-          }
-          const double nl = left[0];
-          const double nr = right[0];
-          if (nl < min_leaf || nr < min_leaf) continue;
-          const double var_l = std::max(
-              0.0, left[2] / nl - (left[1] / nl) * (left[1] / nl));
-          const double var_r = std::max(
-              0.0, right[2] / nr - (right[1] / nr) * (right[1] / nr));
-          const double gain = node_impurity -
-                              (nl * var_l + nr * var_r) /
-                                  static_cast<double>(n);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<int>(f);
-            best_bin = touched[t];
-            best_threshold =
-                ctx.binned->split_threshold(f, touched[t], touched[t + 1]);
-          }
-        }
-      }
-    }
-  } else {
-    for (std::size_t fi = 0; fi < num_features_ && evaluated < mtry; ++fi) {
-      // Lazy partial shuffle: position fi gets a uniform draw from the
-      // remaining pool.
-      const std::size_t j =
-          fi + static_cast<std::size_t>(ctx.rng->uniform_index(
-                   static_cast<std::uint64_t>(num_features_ - fi)));
-      std::swap(ctx.feature_pool[fi], ctx.feature_pool[j]);
-      const std::size_t f = ctx.feature_pool[fi];
-      auto& sorted = ctx.sorted;
-      sorted.clear();
-      sorted.reserve(n);
-      for (std::size_t i = begin; i < end; ++i) {
-        sorted.emplace_back(X(ctx.samples[i], f), ctx.samples[i]);
-      }
-      std::sort(sorted.begin(), sorted.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      ctx.tally_sorted_values += n;
-      if (sorted.front().first == sorted.back().first) continue;  // constant
-      ++evaluated;
-
-      if (task_ == Task::kClassification) {
-        auto& left_counts = ctx.left_counts;
-        auto& right_counts = ctx.right_counts;
-        left_counts.assign(counts.size(), 0);
-        right_counts = counts;
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-          const auto cls =
-              static_cast<std::size_t>(ctx.y_class[sorted[i].second]);
-          ++left_counts[cls];
-          --right_counts[cls];
-          if (sorted[i].first == sorted[i + 1].first) continue;
-          const std::size_t nl = i + 1;
-          const std::size_t nr = n - nl;
-          if (nl < config_.min_samples_leaf || nr < config_.min_samples_leaf) {
-            continue;
-          }
-          const double gain =
-              node_impurity -
-              (static_cast<double>(nl) * gini(left_counts, nl) +
-               static_cast<double>(nr) * gini(right_counts, nr)) /
-                  static_cast<double>(n);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<int>(f);
-            best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
-          }
-        }
-      } else {
-        double left_sum = 0.0;
-        double left_sq = 0.0;
-        double right_sum = sum;
-        double right_sq = sum_sq;
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-          const double v = ctx.y_value[sorted[i].second];
-          left_sum += v;
-          left_sq += v * v;
-          right_sum -= v;
-          right_sq -= v * v;
-          if (sorted[i].first == sorted[i + 1].first) continue;
-          const auto nl = static_cast<double>(i + 1);
-          const auto nr = static_cast<double>(n - i - 1);
-          if (i + 1 < config_.min_samples_leaf ||
-              n - i - 1 < config_.min_samples_leaf) {
-            continue;
-          }
-          const double var_l = std::max(0.0, left_sq / nl -
-                                                 (left_sum / nl) *
-                                                     (left_sum / nl));
-          const double var_r = std::max(0.0, right_sq / nr -
-                                                 (right_sum / nr) *
-                                                     (right_sum / nr));
-          const double gain = node_impurity -
-                              (nl * var_l + nr * var_r) /
-                                  static_cast<double>(n);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<int>(f);
-            best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
-          }
+        const double nl = left[0];
+        const double nr = right[0];
+        if (nl < min_leaf || nr < min_leaf) continue;
+        const double var_l = std::max(
+            0.0, left[2] / nl - (left[1] / nl) * (left[1] / nl));
+        const double var_r = std::max(
+            0.0, right[2] / nr - (right[1] / nr) * (right[1] / nr));
+        const double gain = node_impurity - (nl * var_l + nr * var_r) / nd;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int>(f);
+          best_bin = touched[t];
+          best_threshold =
+              ctx.binned->split_threshold(f, touched[t], touched[t + 1]);
         }
       }
     }
@@ -617,83 +470,80 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
 
   if (best_feature < 0) return make_leaf();
 
-  // Partition ctx.samples[begin, end) around the chosen split.  The hist
-  // arm partitions by bin code — the same sample set that thresholding
-  // the raw values would select, resolved with one byte compare per
-  // sample.
-  std::size_t mid;
-  if (hist) {
-    const std::uint8_t* col =
-        ctx.binned->column(static_cast<std::size_t>(best_feature));
-    const auto bin = static_cast<std::uint8_t>(best_bin);
-    auto* mid_it = std::partition(
-        ctx.samples.data() + begin, ctx.samples.data() + end,
-        [col, bin](std::size_t s) { return col[s] <= bin; });
-    mid = static_cast<std::size_t>(mid_it - ctx.samples.data());
-  } else {
-    auto* mid_it = std::partition(
-        ctx.samples.data() + begin, ctx.samples.data() + end,
-        [&](std::size_t s) {
-          return X(s, static_cast<std::size_t>(best_feature)) <=
-                 best_threshold;
-        });
-    mid = static_cast<std::size_t>(mid_it - ctx.samples.data());
-  }
-  if (mid == begin || mid == end) return make_leaf();  // numeric edge case
+  // Partition ctx.samples[begin, end) by bin code: the same sample set
+  // that thresholding the raw values selects, one byte compare per
+  // sample.  Both sides are non-empty, since the split lies between two
+  // touched bins.
+  const std::uint8_t* col =
+      ctx.binned->column(static_cast<std::size_t>(best_feature));
+  const auto bin = static_cast<std::uint8_t>(best_bin);
+  const auto mid = static_cast<std::size_t>(
+      std::partition(ctx.samples.data() + begin, ctx.samples.data() + end,
+                     [col, bin](std::size_t s) { return col[s] <= bin; }) -
+      ctx.samples.data());
 
   impurity_importance_[static_cast<std::size_t>(best_feature)] +=
-      best_gain * static_cast<double>(n);
+      best_gain * nd;
 
-  // Fill the split node; children are built afterwards so their indices
-  // are known only post-recursion.  Left before right: the left child's
-  // level store must be in place when the right sibling claims the level.
-  nodes_[node_index].feature = best_feature;
-  nodes_[node_index].threshold = best_threshold;
-  const std::size_t left_index = build_node(ctx, begin, mid, depth_now + 1);
-  const std::size_t right_index = build_node(ctx, mid, end, depth_now + 1);
-  nodes_[node_index].left = left_index;
-  nodes_[node_index].right = right_index;
-  return node_index;
+  // Left before right: the left child lands at node + 1, and its level
+  // store must be in place when the right sibling claims the level.
+  const std::size_t node = push_node(best_feature, best_threshold);
+  build_node(ctx, begin, mid, depth_now + 1);
+  right_[node] =
+      static_cast<std::uint32_t>(build_node(ctx, mid, end, depth_now + 1));
+  return node;
 }
 
-const TreeNode& TreeEngine::descend(std::span<const double> x) const {
+std::size_t TreeEngine::descend(std::span<const double> x) const {
   XDMODML_CHECK(trained(), "tree used before fit");
   XDMODML_CHECK(x.size() == num_features_, "feature width mismatch");
   std::size_t i = 0;
-  while (nodes_[i].feature >= 0) {
-    const auto f = static_cast<std::size_t>(nodes_[i].feature);
-    i = x[f] <= nodes_[i].threshold ? nodes_[i].left : nodes_[i].right;
+  while (feature_[i] >= 0) {
+    i = x[static_cast<std::size_t>(feature_[i])] <= threshold_[i]
+            ? i + 1
+            : right_[i];
   }
-  return nodes_[i];
+  return i;
 }
 
 std::span<const double> TreeEngine::leaf_probs(
     std::span<const double> x) const {
-  return descend(x).class_probs;
+  return {leaf_pool_.data() + leaf_[descend(x)],
+          static_cast<std::size_t>(num_classes_)};
 }
 
 double TreeEngine::leaf_value(std::span<const double> x) const {
-  return descend(x).value;
+  return leaf_pool_[leaf_[descend(x)]];
 }
 
 void TreeEngine::save(std::ostream& out) const {
   XDMODML_CHECK(trained(), "cannot save an untrained tree");
+  const bool classification = task_ == Task::kClassification;
   io::write_tag(out, "tree-v1");
   io::write_scalar(out, "task",
-                   static_cast<std::int64_t>(
-                       task_ == Task::kClassification ? 0 : 1));
+                   static_cast<std::int64_t>(classification ? 0 : 1));
   io::write_scalar(out, "classes",
                    static_cast<std::int64_t>(num_classes_));
   io::write_scalar(out, "features",
                    static_cast<std::int64_t>(num_features_));
-  io::write_scalar(out, "nodes", static_cast<std::int64_t>(nodes_.size()));
-  for (const auto& node : nodes_) {
-    io::write_scalar(out, "f", static_cast<std::int64_t>(node.feature));
-    io::write_scalar(out, "t", node.threshold);
-    io::write_scalar(out, "l", static_cast<std::int64_t>(node.left));
-    io::write_scalar(out, "r", static_cast<std::int64_t>(node.right));
-    io::write_scalar(out, "v", node.value);
-    io::write_vector(out, "p", node.class_probs);
+  io::write_scalar(out, "nodes", static_cast<std::int64_t>(node_count()));
+  // tree-v1 spells out both children, a leaf value and a leaf
+  // distribution on every node; the slots a node does not use are 0 or
+  // empty.
+  const std::span<const double> pool = leaf_pool_;
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    const bool leaf = feature_[i] < 0;
+    io::write_scalar(out, "f", static_cast<std::int64_t>(feature_[i]));
+    io::write_scalar(out, "t", threshold_[i]);
+    io::write_scalar(out, "l", static_cast<std::int64_t>(leaf ? 0 : i + 1));
+    io::write_scalar(out, "r", static_cast<std::int64_t>(right_[i]));
+    io::write_scalar(out, "v",
+                     leaf && !classification ? pool[leaf_[i]] : 0.0);
+    io::write_vector(out, "p",
+                     leaf && classification
+                         ? pool.subspan(leaf_[i],
+                                        static_cast<std::size_t>(num_classes_))
+                         : std::span<const double>{});
   }
   io::write_vector(out, "importance", impurity_importance_);
 }
@@ -703,56 +553,69 @@ TreeEngine TreeEngine::load(std::istream& in) {
   reader.expect("tree-v1");
   const auto task = reader.read_int("task");
   XDMODML_CHECK(task == 0 || task == 1, "corrupt tree task");
-  TreeEngine engine(task == 0 ? Task::kClassification : Task::kRegression,
-                    TreeConfig{});
+  const bool classification = task == 0;
+  TreeEngine engine(
+      classification ? Task::kClassification : Task::kRegression,
+      TreeConfig{});
   engine.num_classes_ = static_cast<int>(reader.read_int("classes"));
   engine.num_features_ =
       static_cast<std::size_t>(reader.read_int("features"));
   const auto node_count = reader.read_int("nodes");
-  XDMODML_CHECK(node_count > 0, "corrupt tree node count");
-  engine.nodes_.resize(static_cast<std::size_t>(node_count));
-  for (std::size_t idx = 0; idx < engine.nodes_.size(); ++idx) {
-    auto& node = engine.nodes_[idx];
-    node.feature = static_cast<int>(reader.read_int("f"));
-    node.threshold = reader.read_double("t");
-    node.left = static_cast<std::size_t>(reader.read_int("l"));
-    node.right = static_cast<std::size_t>(reader.read_int("r"));
-    node.value = reader.read_double("v");
-    node.class_probs = reader.read_vector("p");
-    XDMODML_CHECK(node.feature >= -1 &&
-                      node.feature < static_cast<int>(engine.num_features_),
-                  "corrupt tree feature index");
-    if (node.feature >= 0) {
-      // The builder emits children after their parent, so every edge
-      // points strictly forward.  Anything else — a self-loop, a back
-      // edge to an ancestor — would make descend() spin forever on a
-      // crafted payload.
-      XDMODML_CHECK(node.left > idx && node.left < engine.nodes_.size() &&
-                        node.right > idx &&
-                        node.right < engine.nodes_.size(),
+  XDMODML_CHECK(node_count > 0 &&
+                    node_count <= std::numeric_limits<std::int32_t>::max(),
+                "corrupt tree node count");
+  for (std::int64_t idx = 0; idx < node_count; ++idx) {
+    const auto feature = reader.read_int("f");
+    const double threshold = reader.read_double("t");
+    const auto left = reader.read_int("l");
+    const auto right = reader.read_int("r");
+    const double value = reader.read_double("v");
+    const auto probs = reader.read_vector("p");
+    XDMODML_CHECK(
+        feature >= -1 &&
+            feature < static_cast<std::int64_t>(engine.num_features_),
+        "corrupt tree feature index");
+    const std::size_t node =
+        engine.push_node(static_cast<std::int32_t>(feature), threshold);
+    if (feature >= 0) {
+      // Preorder: the left child is the next node and the right child
+      // comes after it, so every edge points strictly forward.  Anything
+      // else — a self-loop, a back edge to an ancestor — would make
+      // descend() spin forever on a crafted payload.
+      XDMODML_CHECK(left == idx + 1 && right > left && right < node_count,
                     "corrupt tree child index");
-    } else if (task == 0) {
-      XDMODML_CHECK(node.class_probs.size() ==
+      XDMODML_CHECK(std::isfinite(threshold), "corrupt tree split threshold");
+      engine.right_[node] = static_cast<std::uint32_t>(right);
+    } else if (classification) {
+      XDMODML_CHECK(probs.size() ==
                         static_cast<std::size_t>(engine.num_classes_),
                     "corrupt tree leaf distribution");
+      engine.leaf_pool_.insert(engine.leaf_pool_.end(), probs.begin(),
+                               probs.end());
+    } else {
+      engine.leaf_pool_.push_back(value);
     }
   }
+  // Every leaf offset taken above is below the final pool size.
+  XDMODML_CHECK(
+      engine.leaf_pool_.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "corrupt tree: leaf pool exceeds 32-bit offsets");
   engine.impurity_importance_ = reader.read_vector("importance");
   return engine;
 }
 
 std::size_t TreeEngine::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the node vector.
+  if (!trained()) return 0;
+  // Iterative depth computation over the preorder arrays.
   std::vector<std::pair<std::size_t, std::size_t>> stack{{0, 1}};
   std::size_t max_depth = 0;
   while (!stack.empty()) {
     const auto [idx, d] = stack.back();
     stack.pop_back();
     max_depth = std::max(max_depth, d);
-    if (nodes_[idx].feature >= 0) {
-      stack.emplace_back(nodes_[idx].left, d + 1);
-      stack.emplace_back(nodes_[idx].right, d + 1);
+    if (feature_[idx] >= 0) {
+      stack.emplace_back(idx + 1, d + 1);
+      stack.emplace_back(right_[idx], d + 1);
     }
   }
   return max_depth;

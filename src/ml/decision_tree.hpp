@@ -1,24 +1,22 @@
 // CART decision trees (classification via Gini impurity, regression via
 // variance reduction), the building block of the random forest.
 //
-// Two split-search algorithms share one engine:
-//
-//  * kExact — the classic sort-and-scan: for each candidate feature the
-//    samples reaching a node are sorted by feature value and every
-//    midpoint between distinct consecutive values is scored
-//    incrementally.  O(n log n) per feature per node.
-//  * kHist — histogram-binned search over a `BinnedDataset`: per-bin
-//    class-count (or count/sum/sumsq) histograms are accumulated in one
-//    O(n) pass per feature and the ≤256 bins are scanned instead of
-//    sorting.  A node derives a child's histogram from its own minus the
-//    sibling's whenever that is cheaper than rescanning (the
-//    parent-minus-sibling subtraction trick).
+// Splits are searched over a quantile-binned `BinnedDataset`: per-bin
+// class-count (or count/sum/sumsq) histograms are accumulated in one O(n)
+// pass per candidate feature and the ≤256 bins are scanned instead of
+// sorting the node's samples.  A node derives a child's histogram from
+// its own minus the sibling's whenever that is cheaper than rescanning
+// (the parent-minus-sibling subtraction trick).  On features with at most
+// 256 distinct values this is exactly the classic sort-and-scan CART;
+// tests/cart_reference.hpp keeps that algorithm as the differential
+// oracle.
 //
 // `max_features` enables the per-split feature subsampling that
 // distinguishes a *random* forest from plain bagging.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -31,17 +29,6 @@ namespace xdmodml::ml {
 
 class BinnedDataset;
 
-/// Split-search algorithm selector.  kAuto defers to the
-/// XDMODML_TREE_SPLIT environment variable ("exact" / "hist", read once
-/// per process) and defaults to kHist; an explicit kExact/kHist in the
-/// config always wins over the environment, mirroring how
-/// XDMODML_SIMD interacts with simd::set_active.
-enum class SplitAlgo { kAuto, kExact, kHist };
-
-/// Resolves kAuto against the environment; returns non-auto requests
-/// unchanged.
-SplitAlgo resolve_split_algo(SplitAlgo requested);
-
 /// Hyper-parameters shared by tree classifier / regressor / forest.
 struct TreeConfig {
   std::size_t max_depth = 0;          ///< 0 = unlimited
@@ -49,22 +36,18 @@ struct TreeConfig {
   std::size_t min_samples_leaf = 1;   ///< both children must have >= this
   std::size_t max_features = 0;       ///< features tried per split; 0 = all
   double min_impurity_decrease = 0.0; ///< prune splits that gain less
-  SplitAlgo split_algo = SplitAlgo::kAuto;  ///< split search (see above)
 };
 
 namespace detail {
 
-/// One tree node; children are indices into the tree's node vector.
-struct TreeNode {
-  int feature = -1;          ///< -1 marks a leaf
-  double threshold = 0.0;    ///< go left when x[feature] <= threshold
-  std::size_t left = 0;
-  std::size_t right = 0;
-  std::vector<double> class_probs;  ///< leaf class distribution
-  double value = 0.0;               ///< leaf regression value
-};
-
 /// Task-agnostic CART engine used by both public wrappers.
+///
+/// A trained tree is a set of flat per-node arrays in the builder's
+/// preorder, so a split node's left child is always the next node and
+/// only the right child is stored.  Leaves point into one contiguous
+/// pool: `num_classes` probabilities per classification leaf, or the
+/// single value of a regression leaf.  The same arrays are the fit
+/// output, the serialized form and what prediction descends.
 class TreeEngine {
  public:
   enum class Task { kClassification, kRegression };
@@ -74,9 +57,9 @@ class TreeEngine {
   /// Trains on the rows of X listed in `sample_indices` (duplicates allowed
   /// — this is how the forest passes bootstrap samples).  For
   /// classification, `y_class` supplies labels; for regression, `y_value`.
-  /// With the kHist algorithm, `binned` supplies the shared quantile-binned
-  /// codes of X (the forest bins once and passes the same dataset to every
-  /// tree); when null the engine bins X itself.
+  /// `binned` supplies the shared quantile-binned codes of X (the forest
+  /// bins once and passes the same dataset to every tree); when null the
+  /// engine bins X itself.
   void fit(const Matrix& X, std::span<const int> y_class,
            std::span<const double> y_value, int num_classes,
            std::span<const std::size_t> sample_indices, Rng& rng,
@@ -88,16 +71,21 @@ class TreeEngine {
   /// Leaf value for one row (regression).
   double leaf_value(std::span<const double> x) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const { return feature_.size(); }
   std::size_t depth() const;
-  bool trained() const { return !nodes_.empty(); }
+  bool trained() const { return !feature_.empty(); }
+
+  Task task() const { return task_; }
+  int num_classes() const { return num_classes_; }
+  std::size_t num_features() const { return num_features_; }
 
   /// Total impurity decrease contributed by each feature (Gini importance).
   std::span<const double> impurity_importance() const {
     return impurity_importance_;
   }
 
-  /// Serialization of a *trained* engine (inference state only).
+  /// Serialization of a *trained* engine (inference state only).  `load`
+  /// rejects any stream whose left children are not in preorder.
   void save(std::ostream& out) const;
   static TreeEngine load(std::istream& in);
 
@@ -105,13 +93,21 @@ class TreeEngine {
   struct BuildContext;
   std::size_t build_node(BuildContext& ctx, std::size_t begin,
                          std::size_t end, std::size_t depth_now);
-  const detail::TreeNode& descend(std::span<const double> x) const;
+  /// Index of the leaf that x reaches.
+  std::size_t descend(std::span<const double> x) const;
+  /// Appends a node in preorder and returns its index; a leaf's pool
+  /// offset is the current pool end, where the caller appends its entries.
+  std::size_t push_node(std::int32_t feature, double threshold);
 
   Task task_;
   TreeConfig config_;
   int num_classes_ = 0;
   std::size_t num_features_ = 0;
-  std::vector<TreeNode> nodes_;
+  std::vector<std::int32_t> feature_;  ///< split feature; -1 marks a leaf
+  std::vector<double> threshold_;      ///< go left when x[feature] <= it
+  std::vector<std::uint32_t> right_;   ///< right child of a split node
+  std::vector<std::uint32_t> leaf_;    ///< a leaf's offset into leaf_pool_
+  std::vector<double> leaf_pool_;
   std::vector<double> impurity_importance_;
 };
 

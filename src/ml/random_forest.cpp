@@ -46,21 +46,26 @@ void bootstrap_sample(std::span<const std::size_t> rows, Rng& rng,
   }
 }
 
-/// Bins X once for the whole forest when the resolved split algorithm
-/// wants histograms and the caller did not supply a shared dataset.
+/// Bins X once for the whole forest unless the caller supplied a shared
+/// dataset.
 std::shared_ptr<const BinnedDataset> ensure_binned(
-    const Matrix& X, const TreeConfig& tree_config,
-    std::shared_ptr<const BinnedDataset> binned) {
-  if (binned != nullptr) {
-    XDMODML_CHECK(binned->rows() == X.rows() &&
-                      binned->features() == X.cols(),
-                  "shared binned dataset does not match X");
-    return binned;
-  }
-  if (resolve_split_algo(tree_config.split_algo) == SplitAlgo::kHist) {
-    return std::make_shared<const BinnedDataset>(X);
-  }
-  return nullptr;
+    const Matrix& X, std::shared_ptr<const BinnedDataset> binned) {
+  if (binned == nullptr) return std::make_shared<const BinnedDataset>(X);
+  XDMODML_CHECK(binned->rows() == X.rows() && binned->features() == X.cols(),
+                "shared binned dataset does not match X");
+  return binned;
+}
+
+/// Reads the next tree of a forest stream and checks that it belongs to
+/// the forest: a tree with fewer classes than the forest would have its
+/// leaves read past by predict_proba.
+detail::TreeEngine load_member(std::istream& in, detail::TreeEngine::Task task,
+                               int num_classes, std::size_t num_features) {
+  auto tree = detail::TreeEngine::load(in);
+  XDMODML_CHECK(tree.task() == task && tree.num_classes() == num_classes &&
+                    tree.num_features() == num_features,
+                "forest tree does not match the forest header");
+  return tree;
 }
 
 }  // namespace
@@ -93,7 +98,7 @@ void RandomForestClassifier::fit_rows(
   if (tree_config.max_features == 0) {
     tree_config.max_features = default_mtry(num_features_, true);
   }
-  binned = ensure_binned(X, tree_config, std::move(binned));
+  binned = ensure_binned(X, std::move(binned));
 
   const std::size_t t = config_.num_trees;
   trees_.assign(t, detail::TreeEngine(
@@ -332,9 +337,10 @@ RandomForestClassifier RandomForestClassifier::load(std::istream& in) {
       static_cast<std::size_t>(reader.read_int("features"));
   const auto tree_count = reader.read_int("trees");
   XDMODML_CHECK(tree_count > 0, "corrupt forest tree count");
-  forest.trees_.reserve(static_cast<std::size_t>(tree_count));
   for (std::int64_t i = 0; i < tree_count; ++i) {
-    forest.trees_.push_back(detail::TreeEngine::load(in));
+    forest.trees_.push_back(
+        load_member(in, detail::TreeEngine::Task::kClassification,
+                    forest.num_classes_, forest.num_features_));
   }
   io::TokenReader tail(in);
   forest.impurity_importance_ = tail.read_vector("impurity_importance");
@@ -370,7 +376,7 @@ void RandomForestRegressor::fit_rows(
   if (tree_config.min_samples_leaf < 2) {
     tree_config.min_samples_leaf = 2;  // randomForest regression default ~5
   }
-  binned = ensure_binned(X, tree_config, std::move(binned));
+  binned = ensure_binned(X, std::move(binned));
 
   const std::size_t t = config_.num_trees;
   trees_.assign(
@@ -451,9 +457,9 @@ RandomForestRegressor RandomForestRegressor::load(std::istream& in) {
       static_cast<std::size_t>(reader.read_int("features"));
   const auto tree_count = reader.read_int("trees");
   XDMODML_CHECK(tree_count > 0, "corrupt forest tree count");
-  forest.trees_.reserve(static_cast<std::size_t>(tree_count));
   for (std::int64_t i = 0; i < tree_count; ++i) {
-    forest.trees_.push_back(detail::TreeEngine::load(in));
+    forest.trees_.push_back(load_member(
+        in, detail::TreeEngine::Task::kRegression, 0, forest.num_features_));
   }
   forest.oob_mse_ = -1.0;
   return forest;

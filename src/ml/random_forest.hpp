@@ -51,9 +51,8 @@ class RandomForestClassifier final : public Classifier {
   /// each tree's bootstrap draws from this population).  Because every CV
   /// fold's training set is a row subset of the same matrix, folds can
   /// share one quantile-binned dataset: pass the same `binned` to every
-  /// call and the forest skips re-binning.  With `binned == nullptr` and
-  /// the hist split algorithm, the forest bins X once itself and shares
-  /// the codes across all its trees.
+  /// call and the forest skips re-binning.  With `binned == nullptr` the
+  /// forest bins X once itself and shares the codes across all its trees.
   void fit_rows(const Matrix& X, std::span<const int> y, int num_classes,
                 std::span<const std::size_t> rows,
                 std::shared_ptr<const BinnedDataset> binned = nullptr);
