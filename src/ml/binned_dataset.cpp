@@ -36,7 +36,7 @@ void bin_feature(const Matrix& X, std::size_t f, std::size_t max_bins,
     // exact algorithm (every exact candidate threshold is a bin edge).
     for (std::size_t i = 1; i < rows; ++i) {
       if (sorted[i] != sorted[i - 1]) {
-        cuts.push_back(0.5 * (sorted[i - 1] + sorted[i]));
+        cuts.push_back(midpoint_between(sorted[i - 1], sorted[i]));
       }
     }
   } else {
@@ -49,7 +49,7 @@ void bin_feature(const Matrix& X, std::size_t f, std::size_t max_bins,
       const double lo = sorted[rank - 1];
       const double hi = sorted[rank];
       if (lo == hi) continue;
-      const double cut = 0.5 * (lo + hi);
+      const double cut = midpoint_between(lo, hi);
       if (!cuts.empty() && cuts.back() >= cut) continue;
       cuts.push_back(cut);
     }

@@ -20,6 +20,7 @@
 // against tests/cart_reference.hpp lock down.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -28,6 +29,16 @@
 #include "util/matrix.hpp"
 
 namespace xdmodml::ml {
+
+/// The point halfway between a < b, used for bin cuts and split
+/// thresholds.  0.5 * (a + b) overflows to inf when both are near
+/// DBL_MAX, which would merge the two values into one bin; the halves
+/// are summed only then, so ordinary data keeps the exact midpoints (and
+/// saved forests their bytes).
+inline double midpoint_between(double a, double b) {
+  const double mid = 0.5 * (a + b);
+  return std::isfinite(mid) ? mid : 0.5 * a + 0.5 * b;
+}
 
 /// Immutable quantile-binned view of a feature matrix.  Construction is
 /// the only mutating phase; afterwards the object is safe to share
@@ -74,7 +85,7 @@ class BinnedDataset {
   /// compares > threshold, so `x <= t` at predict time reproduces the
   /// training-time code partition.
   double split_threshold(std::size_t f, std::size_t lo, std::size_t hi) const {
-    return 0.5 * (bin_max_[f][lo] + bin_min_[f][hi]);
+    return midpoint_between(bin_max_[f][lo], bin_min_[f][hi]);
   }
 
   /// Cheap column-subset copy (no re-sorting / re-quantiling): the

@@ -171,8 +171,12 @@ Standardizer Standardizer::load(std::istream& in) {
   s.scales_ = reader.read_vector("scales");
   XDMODML_CHECK(s.means_.size() == s.scales_.size() && !s.means_.empty(),
                 "corrupt standardizer stream");
+  for (const double mean : s.means_) {
+    XDMODML_CHECK(std::isfinite(mean), "corrupt standardizer mean");
+  }
   for (const double scale : s.scales_) {
-    XDMODML_CHECK(scale > 0.0, "corrupt standardizer scale");
+    XDMODML_CHECK(std::isfinite(scale) && scale > 0.0,
+                  "corrupt standardizer scale");
   }
   return s;
 }

@@ -564,20 +564,27 @@ TreeEngine TreeEngine::load(std::istream& in) {
   XDMODML_CHECK(node_count > 0 &&
                     node_count <= std::numeric_limits<std::int32_t>::max(),
                 "corrupt tree node count");
+  const auto classes = static_cast<std::size_t>(engine.num_classes_);
   for (std::int64_t idx = 0; idx < node_count; ++idx) {
     const auto feature = reader.read_int("f");
     const double threshold = reader.read_double("t");
     const auto left = reader.read_int("l");
     const auto right = reader.read_int("r");
     const double value = reader.read_double("v");
-    const auto probs = reader.read_vector("p");
     XDMODML_CHECK(
         feature >= -1 &&
             feature < static_cast<std::int64_t>(engine.num_features_),
         "corrupt tree feature index");
     const std::size_t node =
         engine.push_node(static_cast<std::int32_t>(feature), threshold);
+    // The distribution is read straight into the pool at this node's
+    // leaf offset; a node that does not use it (always empty in streams
+    // this library writes) gives the slots back.
+    auto& pool = engine.leaf_pool_;
+    const std::size_t offset = pool.size();
+    const std::size_t probs = reader.read_vector_into("p", pool);
     if (feature >= 0) {
+      pool.resize(offset);
       // Preorder: the left child is the next node and the right child
       // comes after it, so every edge points strictly forward.  Anything
       // else — a self-loop, a back edge to an ancestor — would make
@@ -587,13 +594,20 @@ TreeEngine TreeEngine::load(std::istream& in) {
       XDMODML_CHECK(std::isfinite(threshold), "corrupt tree split threshold");
       engine.right_[node] = static_cast<std::uint32_t>(right);
     } else if (classification) {
-      XDMODML_CHECK(probs.size() ==
-                        static_cast<std::size_t>(engine.num_classes_),
-                    "corrupt tree leaf distribution");
-      engine.leaf_pool_.insert(engine.leaf_pool_.end(), probs.begin(),
-                               probs.end());
+      XDMODML_CHECK(probs == classes, "corrupt tree leaf distribution");
+      double sum = 0.0;
+      for (std::size_t c = 0; c < classes; ++c) {
+        const double p = pool[offset + c];
+        XDMODML_CHECK(std::isfinite(p) && p >= 0.0,
+                      "corrupt tree leaf probability");
+        sum += p;
+      }
+      XDMODML_CHECK(std::abs(sum - 1.0) <= kLeafSumTolerance,
+                    "corrupt tree leaf: probabilities do not sum to 1");
     } else {
-      engine.leaf_pool_.push_back(value);
+      pool.resize(offset);
+      XDMODML_CHECK(std::isfinite(value), "corrupt tree leaf value");
+      pool.push_back(value);
     }
   }
   // Every leaf offset taken above is below the final pool size.

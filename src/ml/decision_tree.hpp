@@ -84,8 +84,14 @@ class TreeEngine {
     return impurity_importance_;
   }
 
+  /// How far a loaded classification leaf's probabilities may sum from
+  /// 1; a trained leaf (class counts / node size) is a few ulp off.
+  static constexpr double kLeafSumTolerance = 1e-9;
+
   /// Serialization of a *trained* engine (inference state only).  `load`
-  /// rejects any stream whose left children are not in preorder.
+  /// rejects any stream whose left children are not in preorder, whose
+  /// classification leaves are not finite, non-negative and summing to 1
+  /// within kLeafSumTolerance, or whose regression leaves are not finite.
   void save(std::ostream& out) const;
   static TreeEngine load(std::istream& in);
 

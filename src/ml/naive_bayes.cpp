@@ -67,7 +67,8 @@ void NaiveBayesClassifier::save(std::ostream& out) const {
                    static_cast<std::int64_t>(num_classes_));
   io::write_scalar(out, "features",
                    static_cast<std::int64_t>(num_features_));
-  // -inf priors (never-seen classes) are encoded as a sentinel.
+  // -inf priors (never-seen classes) are encoded as a finite sentinel:
+  // model streams hold finite numbers only.
   std::vector<double> priors = log_priors_;
   for (auto& p : priors) {
     if (std::isinf(p)) p = -1e308;

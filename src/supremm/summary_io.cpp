@@ -1,12 +1,13 @@
 #include "supremm/summary_io.hpp"
 
-#include <limits>
 #include <ostream>
-#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/number_text.hpp"
 
 namespace xdmodml::supremm {
 
@@ -24,27 +25,17 @@ const char* label_source_name(LabelSource source) {
   return "?";
 }
 
-LabelSource parse_label_source(const std::string& text) {
+LabelSource parse_label_source(std::string_view text) {
   if (text == "identified") return LabelSource::kIdentified;
   if (text == "uncategorized") return LabelSource::kUncategorized;
   if (text == "na") return LabelSource::kNotAvailable;
-  throw InvalidArgument("unknown label source: " + text);
+  throw InvalidArgument("unknown label source: " + std::string(text));
 }
 
-std::string format_field(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-double parse_double(const std::string& text) {
-  // std::from_chars<double> is not reliably available pre-GCC 11 for
-  // doubles; stod with full-consumption validation is sufficient here.
-  std::size_t consumed = 0;
-  const double v = std::stod(text, &consumed);
-  XDMODML_CHECK(consumed == text.size(), "bad numeric field: " + text);
-  return v;
+double parse_double(std::string_view text) {
+  const auto v = numtext::parse_double(text);
+  XDMODML_CHECK(v.has_value(), "bad numeric field: " + std::string(text));
+  return *v;
 }
 
 }  // namespace
@@ -69,37 +60,34 @@ void write_jobs_csv(std::ostream& out, std::span<const JobSummary> jobs) {
   CsvWriter writer(out);
   writer.write_row(jobs_csv_header());
   for (const auto& job : jobs) {
-    std::vector<std::string> row{
-        std::to_string(job.job_id),
-        job.executable_path,
-        job.application,
-        job.category,
-        label_source_name(job.label_source),
-        std::to_string(job.nodes),
-        std::to_string(job.cores_per_node),
-        format_field(job.wall_seconds),
-        format_field(job.start_epoch_seconds),
-        std::to_string(job.exit_code),
-        job.application_succeeded ? "1" : "0"};
+    writer.field(job.job_id);
+    writer.field(job.executable_path);
+    writer.field(job.application);
+    writer.field(job.category);
+    writer.field(label_source_name(job.label_source));
+    writer.field(job.nodes);
+    writer.field(job.cores_per_node);
+    writer.field(job.wall_seconds);
+    writer.field(job.start_epoch_seconds);
+    writer.field(job.exit_code);
+    writer.field(job.application_succeeded ? "1" : "0");
     for (const auto& info : metric_catalog()) {
-      row.push_back(format_field(job.mean_of(info.id)));
+      writer.field(job.mean_of(info.id));
     }
     for (const auto& info : metric_catalog()) {
-      if (info.has_cov) row.push_back(format_field(job.cov_of(info.id)));
+      if (info.has_cov) writer.field(job.cov_of(info.id));
     }
-    writer.write_row(row);
+    writer.end_row();
   }
 }
 
 std::vector<JobSummary> read_jobs_csv(std::istream& in) {
-  const auto doc = parse_csv(in);
-  const auto expected = jobs_csv_header();
-  XDMODML_CHECK(doc.header == expected,
+  CsvReader reader(in);
+  XDMODML_CHECK(reader.header() == jobs_csv_header(),
                 "job CSV header does not match the interchange format");
   std::vector<JobSummary> jobs;
-  jobs.reserve(doc.rows.size());
-  for (std::size_t r = 0; r < doc.rows.size(); ++r) {
-    const auto& row = doc.rows[r];
+  std::vector<std::string_view> row;
+  while (reader.next_row(row)) {
     // Any per-field failure (bad numeric, unknown label source, or the
     // injected `summary_io.read.row` fault) is rethrown with the row
     // position and job id, so a million-row ingest names the one bad
@@ -126,9 +114,10 @@ std::vector<JobSummary> read_jobs_csv(std::istream& in) {
         if (info.has_cov) job.set_cov(info.id, parse_double(row[c++]));
       }
       jobs.push_back(std::move(job));
-    } catch (const std::exception& e) {  // std::stod throws std:: types too
-      throw InvalidArgument("job CSV data row " + std::to_string(r + 1) +
-                            " (job_id field '" + row[0] +
+    } catch (const std::exception& e) {
+      throw InvalidArgument("job CSV data row " +
+                            std::to_string(jobs.size() + 1) +
+                            " (job_id field '" + std::string(row[0]) +
                             "'): " + e.what());
     }
   }

@@ -191,7 +191,11 @@ class CartTree {
           if (gain > best) {
             best = gain;
             best_feature = static_cast<int>(f);
-            best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+            // Midpoint, halves summed only when the sum overflows.
+            const double a = sorted[i].first;
+            const double b = sorted[i + 1].first;
+            best_threshold = std::isfinite(0.5 * (a + b)) ? 0.5 * (a + b)
+                                                          : 0.5 * a + 0.5 * b;
           }
         }
       }

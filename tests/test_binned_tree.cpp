@@ -13,6 +13,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cart_reference.hpp"
@@ -150,6 +151,32 @@ TEST(BinnedDataset, SelectFeaturesCopiesColumnsVerbatim) {
   }
   EXPECT_THROW(full.select_features(std::vector<std::size_t>{99}),
                InvalidArgument);
+}
+
+// Two values whose sum overflows: the cut between them must stay finite
+// and strictly between, or both land in one bin and no split is found.
+TEST(BinnedDataset, SplitsValuesNearDblMax) {
+  Matrix X;
+  std::vector<int> y;
+  for (int i = 0; i < 4; ++i) {
+    X.append_row(std::vector<double>{i % 2 == 0 ? 1e308 : 1.7e308});
+    y.push_back(i % 2);
+  }
+  const BinnedDataset binned(X);
+  EXPECT_EQ(binned.num_bins(0), 2u);
+  DecisionTreeClassifier tree(TreeConfig{}, 3);
+  tree.fit(X, y, 2);
+  EXPECT_EQ(tree.node_count(), 3u);
+  Rng rng(3);
+  const auto exact = reference::CartTree::fit(
+      X, y, {}, 2, reference::all_rows(X.rows()), TreeConfig{}, rng);
+  EXPECT_EQ(exact.node_count(), 3u);
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    EXPECT_EQ(tree.predict_proba(X.row(r))[static_cast<std::size_t>(y[r])],
+              1.0);
+    EXPECT_EQ(exact.leaf_probs(X.row(r))[static_cast<std::size_t>(y[r])],
+              1.0);
+  }
 }
 
 TEST(BinnedDataset, RejectsEmptyMatrix) {
@@ -497,6 +524,43 @@ TEST(TreeLoad, RejectsNonFiniteThreshold) {
          {-1, 0.0, 0, 0, 0.0, {0.0, 1.0}}});
     EXPECT_THROW(load_payload(payload), InvalidArgument) << t;
   }
+}
+
+// A classification leaf must be finite, non-negative and sum to 1
+// within TreeEngine::kLeafSumTolerance (1e-9): trained leaves are class
+// counts over the node size, a few ulp from 1.
+TEST(TreeLoad, RejectsInvalidLeafDistribution) {
+  const auto stump = [](std::vector<double> left) {
+    return tree_payload(0, 2, 1,
+                        {{0, 0.5, 1, 2, 0.0, {}},
+                         {-1, 0.0, 0, 0, 0.0, std::move(left)},
+                         {-1, 0.0, 0, 0, 0.0, {0.0, 1.0}}});
+  };
+  EXPECT_THROW(load_payload(stump({1.5e17, 0.0})), InvalidArgument);
+  EXPECT_THROW(load_payload(stump({1.5, -0.5})), InvalidArgument);
+  EXPECT_THROW(load_payload(stump({0.7, 0.7})), InvalidArgument);
+  EXPECT_THROW(load_payload(stump({0.0, 0.0})), InvalidArgument);
+  EXPECT_THROW(load_payload(stump({0.5, 0.5 + 2e-9})), InvalidArgument);
+  EXPECT_THROW(load_payload(stump({std::numeric_limits<double>::infinity(),
+                                   0.0})),
+               InvalidArgument);
+  EXPECT_NO_THROW(load_payload(stump({0.5, 0.5 + 5e-10})));
+  EXPECT_NO_THROW(load_payload(tree_payload(
+      0, 3, 1, {{-1, 0.0, 0, 0, 0.0, {1.0 / 3, 1.0 / 3, 1.0 / 3}}})));
+}
+
+TEST(TreeLoad, RejectsNonFiniteRegressionLeaf) {
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(load_payload(tree_payload(1, 0, 1,
+                                           {{-1, 0.0, 0, 0, v, {}}})),
+                 InvalidArgument)
+        << v;
+  }
+  auto huge = tree_payload(1, 0, 1, {{-1, 0.0, 0, 0, 2.5, {}}});
+  huge.replace(huge.find("v 2.5"), 5, "v 1e400");
+  EXPECT_THROW(load_payload(huge), InvalidArgument);
 }
 
 std::string forest_payload(int classes, int features,

@@ -283,31 +283,53 @@ TEST_F(ServiceTest, MetricsSnapshotMatchesIngestTallies) {
   obs::set_enabled(prev_enabled);
 }
 
-// A crafted forest stream whose leaf distributions hold 1.5e17 loads
-// (the forest loader does not check leaf probabilities), so the
-// service's output contract is what keeps the job from being
-// attributed: it must fail, count service.invalid_output and be
-// dead-lettered, on both ingest paths.
-TEST_F(ServiceTest, InvalidModelOutputFailsInsteadOfAttributing) {
+/// The saved stream of `clf` with `edit` applied to every line.
+template <class Edit>
+std::string edited_stream(const JobClassifier& clf, Edit edit) {
   std::stringstream saved;
-  (*clf_)->save(saved);
-  std::istringstream lines(saved.str());
-  std::ostringstream crafted;
+  clf.save(saved);
+  std::ostringstream out;
   std::string line;
-  while (std::getline(lines, line)) {
+  while (std::getline(saved, line)) out << edit(line) << '\n';
+  return out.str();
+}
+
+// A forest stream whose leaf distributions hold 1.5e17 used to load and
+// serve p > 1; the tree loader now rejects any classification leaf that
+// is not finite, non-negative and summing to 1.
+TEST_F(ServiceTest, PoisonedLeafStreamIsRejectedAtLoad) {
+  const auto crafted = edited_stream(**clf_, [](const std::string& line) {
     // Leaf distributions are "p <n> <v1> ... <vn>": poison v1.
-    if (line.rfind("p ", 0) == 0 && line != "p 0") {
-      std::istringstream fields(line.substr(2));
-      std::size_t n = 0;
-      double first = 0.0;
-      fields >> n >> first;
-      std::string rest;
-      std::getline(fields, rest);
-      line = "p " + std::to_string(n) + " 1.5e17" + rest;
-    }
-    crafted << line << '\n';
-  }
-  std::istringstream in(crafted.str());
+    if (line.rfind("p ", 0) != 0 || line == "p 0") return line;
+    std::istringstream fields(line.substr(2));
+    std::size_t n = 0;
+    double first = 0.0;
+    fields >> n >> first;
+    std::string rest;
+    std::getline(fields, rest);
+    return "p " + std::to_string(n) + " 1.5e17" + rest;
+  });
+  std::istringstream in(crafted);
+  EXPECT_THROW((void)JobClassifier::load(in), InvalidArgument);
+}
+
+// The tree loader lets a leaf's probabilities sum to 1 within
+// TreeEngine::kLeafSumTolerance (1e-9), so a crafted forest whose every
+// leaf is {1 + 5e-10, 0, ...} loads and serves p = 1 + 5e-10.  The
+// service's output contract is what keeps the job from being attributed:
+// it must fail, count service.invalid_output and be dead-lettered, on
+// both ingest paths.
+TEST_F(ServiceTest, InvalidModelOutputFailsInsteadOfAttributing) {
+  const auto crafted = edited_stream(**clf_, [](const std::string& line) {
+    if (line.rfind("p ", 0) != 0 || line == "p 0") return line;
+    std::istringstream fields(line.substr(2));
+    std::size_t n = 0;
+    fields >> n;
+    std::string out = "p " + std::to_string(n) + " 1.0000000005";
+    for (std::size_t c = 1; c < n; ++c) out += " 0";
+    return out;
+  });
+  std::istringstream in(crafted);
   const auto bad =
       std::make_shared<const JobClassifier>(JobClassifier::load(in));
   const auto job = gen_->generate_na(1, /*community_fraction=*/1.0)

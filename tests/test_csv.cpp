@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/number_text.hpp"
 
 namespace xdmodml {
 namespace {
@@ -34,6 +40,60 @@ TEST(CsvWriter, WritesRows) {
   w.write_row(std::vector<std::string>{"x", "y"});
   w.write_row(std::vector<double>{1.5, -2.0});
   EXPECT_EQ(os.str(), "x,y\n1.5,-2\n");
+}
+
+// Doubles are written shortest round-trip: lossless, where the old
+// precision-12 writer printed 0.1 + 0.2 as 0.3.
+TEST(CsvWriter, DoubleRowsAreLossless) {
+  const std::vector<double> values{0.1 + 0.2, 1.0 / 3, -0.0, 1e-300,
+                                   1.7976931348623157e308, 123456.789};
+  std::ostringstream os;
+  CsvWriter w(os);
+  w.write_row(std::vector<std::string>{"a", "b", "c", "d", "e", "f"});
+  w.write_row(values);
+  EXPECT_NE(os.str().find("0.30000000000000004,"), std::string::npos);
+  std::istringstream in(os.str());
+  const auto doc = parse_csv(in);
+  ASSERT_EQ(doc.rows.size(), 1u);
+  ASSERT_EQ(doc.rows[0].size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto parsed = numtext::parse_double(doc.rows[0][i]);
+    ASSERT_TRUE(parsed.has_value()) << doc.rows[0][i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*parsed),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << doc.rows[0][i];
+  }
+}
+
+TEST(CsvWriter, FieldAtATime) {
+  std::ostringstream os;
+  CsvWriter w(os);
+  w.field(std::uint64_t{18446744073709551615u});
+  w.field("a,b");
+  w.field(-3);
+  w.field(0.5);
+  w.end_row();
+  w.field("x");
+  w.end_row();
+  EXPECT_EQ(os.str(), "18446744073709551615,\"a,b\",-3,0.5\nx\n");
+}
+
+// The reader hands out each row as views into one reused buffer, with
+// quoting undone in place; blank lines between records are skipped.
+TEST(CsvReader, StreamsRowsAsViews) {
+  std::istringstream in("h1,h2\n\"x,\"\"y\"\"\",2\n\n\"p\nq\",4\r\n");
+  CsvReader reader(in);
+  EXPECT_EQ(reader.header(), (std::vector<std::string>{"h1", "h2"}));
+  std::vector<std::string_view> fields;
+  ASSERT_TRUE(reader.next_row(fields));
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0], "x,\"y\"");
+  EXPECT_EQ(fields[1], "2");
+  ASSERT_TRUE(reader.next_row(fields));
+  EXPECT_EQ(fields[0], "p\nq");
+  EXPECT_EQ(fields[1], "4");
+  EXPECT_FALSE(reader.next_row(fields));
+  EXPECT_FALSE(reader.next_row(fields));
 }
 
 TEST(CsvParse, SimpleLine) {

@@ -2,7 +2,13 @@
 // SVM, naive Bayes, and the full JobClassifier pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +19,9 @@
 #include "ml/random_forest.hpp"
 #include "ml/svm.hpp"
 #include "ml/svm_plan.hpp"
+#include "svm_reference.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/dataset_helpers.hpp"
 #include "workload/generator.hpp"
 
@@ -54,6 +62,89 @@ TEST(ModelIo, HugeDeclaredVectorLengthRejected) {
   std::istringstream idx("r 9007199254740992 1 2");
   ml::io::TokenReader idx_reader(idx);
   EXPECT_THROW(idx_reader.read_index_vector("r"), InvalidArgument);
+}
+
+// Every number token must be a whole, finite double (util/number_text):
+// each rejection is an InvalidArgument, in scalars and in vectors alike.
+// A leading '+' is rejected too; no writer emits one.
+TEST(ModelIo, NumberTokensMustBeWholeAndFinite) {
+  for (const std::string bad :
+       {"inf", "-inf", "nan", "0.5x", "1e400", "-1e400", "1e-400", "+1.5",
+        "0x1p3", "1e", "."}) {
+    std::istringstream in("x " + bad);
+    ml::io::TokenReader reader(in);
+    EXPECT_THROW(reader.read_double("x"), InvalidArgument) << bad;
+    std::istringstream vin("v 3 1.5 " + bad + " 2.5");
+    ml::io::TokenReader vreader(vin);
+    EXPECT_THROW(vreader.read_vector("v"), InvalidArgument) << bad;
+  }
+  // An empty token is the end of the stream.
+  std::istringstream empty("x ");
+  ml::io::TokenReader empty_reader(empty);
+  EXPECT_THROW(empty_reader.read_double("x"), InvalidArgument);
+  for (const std::string bad : {"+3", "1.5", "3x", "9223372036854775808"}) {
+    std::istringstream in("n " + bad);
+    ml::io::TokenReader reader(in);
+    EXPECT_THROW(reader.read_int("n"), InvalidArgument) << bad;
+  }
+  std::istringstream neg("r 2 1 -1");
+  ml::io::TokenReader neg_reader(neg);
+  EXPECT_THROW(neg_reader.read_index_vector("r"), InvalidArgument);
+}
+
+// Number and tag tokens are bounded; strings (class names) are not.
+TEST(ModelIo, TokenLengthLimits) {
+  const std::string digits(ml::io::TokenReader::kMaxToken + 1, '1');
+  std::istringstream in("x " + digits);
+  ml::io::TokenReader reader(in);
+  EXPECT_THROW(reader.read_double("x"), InvalidArgument);
+  const std::string name(5000, 'n');
+  std::ostringstream out;
+  ml::io::write_string(out, "class", name);
+  std::istringstream sin(out.str());
+  ml::io::TokenReader sreader(sin);
+  EXPECT_EQ(sreader.read_string("class"), name);
+}
+
+// Loaders share one stream: a reader consumes its token and nothing
+// after it, whatever whitespace separates them.
+TEST(ModelIo, TokenReaderDoesNotReadPastItsToken) {
+  std::istringstream in("a 1.5\tb\v-2\f\r\nc 3 7 8 9\nrest");
+  {
+    ml::io::TokenReader reader(in);
+    EXPECT_EQ(reader.read_double("a"), 1.5);
+  }
+  EXPECT_EQ(in.peek(), '\t');
+  {
+    ml::io::TokenReader reader(in);
+    EXPECT_EQ(reader.read_int("b"), -2);
+  }
+  EXPECT_EQ(in.peek(), '\f');
+  ml::io::TokenReader reader(in);
+  EXPECT_EQ(reader.read_vector("c"), (std::vector<double>{7, 8, 9}));
+  EXPECT_EQ(in.peek(), '\n');
+  std::string rest;
+  in >> rest;
+  EXPECT_EQ(rest, "rest");
+  EXPECT_THROW(reader.read_tag(), InvalidArgument);  // nothing left
+}
+
+// Writers format into their own buffer: the caller's stream precision
+// is left alone, and a vector longer than the line buffer is intact.
+TEST(ModelIo, WritersLeaveStreamStateAlone) {
+  std::ostringstream out;
+  out.precision(3);
+  ml::io::write_scalar(out, "x", 0.1234567);
+  EXPECT_EQ(out.precision(), 3);
+  EXPECT_EQ(out.str(), "x 0.1234567\n");
+  std::vector<double> values;
+  Rng rng(9);
+  for (int i = 0; i < 5000; ++i) values.push_back(rng.normal(0.0, 1e10));
+  std::ostringstream long_out;
+  ml::io::write_vector(long_out, "v", values);
+  std::istringstream in(long_out.str());
+  ml::io::TokenReader reader(in);
+  EXPECT_EQ(reader.read_vector("v"), values);
 }
 
 TEST(ModelIo, VectorRoundTrip) {
@@ -429,6 +520,236 @@ TEST(ModelIo, CorruptStreamsRejected) {
   std::istringstream wrong_algo(
       "job-classifier-v1 algorithm quantum classes 1 class x");
   EXPECT_THROW(core::JobClassifier::load(wrong_algo), InvalidArgument);
+}
+
+// ---- old 17-digit streams ----------------------------------------------
+
+/// Reference for the older writer, which put every double through
+/// `ostream <<` at max_digits10, i.e. "%.17g", and wrote integers in
+/// plain decimal, which "%.17g" reproduces below 2^53: `stream` with
+/// each numeric token re-rendered with "%.17g".
+std::string as_17g(const std::string& stream) {
+  std::string out;
+  std::size_t i = 0;
+  while (i < stream.size()) {
+    const std::size_t end = std::min(stream.find_first_of(" \n", i),
+                                     stream.size());
+    const std::string token = stream.substr(i, end - i);
+    const bool numeric =
+        !token.empty() &&
+        (std::isdigit(static_cast<unsigned char>(token[0])) ||
+         (token[0] == '-' && token.size() > 1 &&
+          std::isdigit(static_cast<unsigned char>(token[1]))));
+    if (numeric) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%.17g", std::strtod(token.c_str(),
+                                                          nullptr));
+      out += buf;
+    } else {
+      out += token;
+    }
+    if (end < stream.size()) out += stream[end];
+    i = end + 1;
+  }
+  return out;
+}
+
+/// "%a" of each value: a hex-float compare, exact to the bit.
+std::string hex(std::span<const double> values) {
+  std::string out;
+  for (const double v : values) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a ", v);
+    out += buf;
+  }
+  return out;
+}
+
+template <class Model>
+std::string saved(const Model& model) {
+  std::ostringstream out;
+  model.save(out);
+  return out.str();
+}
+
+template <class Model>
+Model loaded(const std::string& text) {
+  std::istringstream in(text);
+  return Model::load(in);
+}
+
+/// A model saved now and the same stream at 17 digits both load to
+/// models that re-save to the same bytes (shortest text names exactly
+/// one double, so every serialized value is bit-identical) and whose
+/// `predict(model, x)` agree bit for bit with `reference` on each probe.
+template <class Model, class Predict>
+void expect_17g_stream_loads_identically(const Model& reference,
+                                         const Matrix& probes,
+                                         Predict predict) {
+  const std::string now = saved(reference);
+  const std::string old = as_17g(now);
+  ASSERT_NE(old, now);  // the shortest writer did shorten something
+  EXPECT_LT(now.size(), old.size());
+  const auto from_now = loaded<Model>(now);
+  const auto from_old = loaded<Model>(old);
+  EXPECT_EQ(saved(from_now), now);  // save -> load -> save
+  EXPECT_EQ(saved(from_old), now);
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    const auto want = hex(predict(reference, probes.row(r)));
+    EXPECT_EQ(hex(predict(from_now, probes.row(r))), want) << "probe " << r;
+    EXPECT_EQ(hex(predict(from_old, probes.row(r))), want) << "probe " << r;
+  }
+}
+
+const auto kProba = [](const auto& model, std::span<const double> x) {
+  return model.predict_proba(x);
+};
+
+TEST(ModelIo, Old17DigitSvmV2StreamLoadsBitIdentically) {
+  const auto ds = blob_dataset(30);
+  for (const bool probability : {true, false}) {
+    ml::SvmConfig cfg;
+    cfg.kernel = ml::Kernel::rbf(0.37);
+    cfg.c = 10.0;
+    cfg.probability = probability;
+    ml::SvmClassifier svm(cfg, 7);
+    svm.fit(ds.X, ds.labels, 3);
+    expect_17g_stream_loads_identically(
+        svm, ds.X, [](const ml::SvmClassifier& m, std::span<const double> x) {
+          std::vector<double> dec(m.inference_plan().num_machines());
+          ml::SvmInferencePlan::Scratch scratch;
+          m.inference_plan().decision_values(x.data(), 1, scratch,
+                                             dec.data());
+          const auto p = m.predict_proba(x);
+          dec.insert(dec.end(), p.begin(), p.end());
+          return dec;
+        });
+  }
+}
+
+TEST(ModelIo, Old17DigitSvmV1StreamLoadsBitIdentically) {
+  const auto ds = blob_dataset(25);
+  ml::SvmConfig cfg;
+  cfg.kernel = ml::Kernel::rbf(0.37);
+  cfg.c = 10.0;
+  cfg.probability = true;
+  const auto machines = ml::fit_one_vs_one(ds.X, ds.labels, 3, cfg, 7);
+  // svm-ovo-v1 has no writer in the library any more; spell it out.
+  std::ostringstream out;
+  ml::io::write_tag(out, "svm-ovo-v1");
+  ml::io::write_scalar(out, "classes", std::int64_t{3});
+  ml::io::write_scalar(out, "probability", std::int64_t{1});
+  ml::io::write_scalar(out, "machines",
+                       static_cast<std::int64_t>(machines.size()));
+  for (const auto& m : machines) {
+    ml::io::write_tag(out, "binary-svm-v1");
+    ml::io::write_scalar(out, "kernel_type",
+                         static_cast<std::int64_t>(m.kernel().type));
+    ml::io::write_scalar(out, "gamma", m.kernel().gamma);
+    ml::io::write_scalar(out, "degree", m.kernel().degree);
+    ml::io::write_scalar(out, "coef0", m.kernel().coef0);
+    ml::io::write_scalar(out, "rho", m.rho());
+    ml::io::write_scalar(out, "has_platt", std::int64_t{1});
+    ml::io::write_scalar(out, "platt_a", m.sigmoid().a);
+    ml::io::write_scalar(out, "platt_b", m.sigmoid().b);
+    const auto& svs = m.support_vectors();
+    ml::io::write_scalar(out, "svs", static_cast<std::int64_t>(svs.rows()));
+    ml::io::write_scalar(out, "dims", static_cast<std::int64_t>(svs.cols()));
+    ml::io::write_vector(out, "coef", m.coefficients());
+    for (std::size_t r = 0; r < svs.rows(); ++r) {
+      ml::io::write_vector(out, "sv", svs.row(r));
+    }
+  }
+  const std::string now = out.str();
+  const std::string old = as_17g(now);
+  ASSERT_NE(old, now);
+  const auto from_now = loaded<ml::SvmClassifier>(now);
+  const auto from_old = loaded<ml::SvmClassifier>(old);
+  EXPECT_EQ(saved(from_old), saved(from_now));
+  std::istringstream ref_in(old);
+  const auto reference = ml::reference::OneVsOne::from_v1(ref_in);
+  for (std::size_t r = 0; r < ds.X.rows(); ++r) {
+    const auto x = ds.X.row(r);
+    EXPECT_EQ(hex(from_old.predict_proba(x)), hex(from_now.predict_proba(x)));
+    std::vector<double> fitted;
+    for (const auto& m : machines) fitted.push_back(m.decision_value(x));
+    EXPECT_EQ(hex(reference.decision_values(x)), hex(fitted)) << "row " << r;
+  }
+}
+
+TEST(ModelIo, Old17DigitForestStreamLoadsBitIdentically) {
+  const auto ds = blob_dataset(40);
+  ml::ForestConfig cfg;
+  cfg.num_trees = 20;
+  ml::RandomForestClassifier rf(cfg, 3);
+  rf.fit(ds.X, ds.labels, 3);
+  expect_17g_stream_loads_identically(rf, ds.X, kProba);
+}
+
+TEST(ModelIo, Old17DigitNaiveBayesStreamLoadsBitIdentically) {
+  const auto ds = blob_dataset(30);
+  ml::NaiveBayesClassifier nb;
+  nb.fit(ds.X, ds.labels, 4);  // unseen class: the -1e308 prior sentinel
+  expect_17g_stream_loads_identically(nb, ds.X, kProba);
+}
+
+TEST(ModelIo, Old17DigitStandardizerStreamLoadsBitIdentically) {
+  const auto ds = blob_dataset(20);
+  ml::Standardizer s;
+  s.fit(ds.X);
+  expect_17g_stream_loads_identically(
+      s, ds.X, [](const ml::Standardizer& m, std::span<const double> x) {
+        std::vector<double> row(x.begin(), x.end());
+        m.transform_row(row);
+        return row;
+      });
+}
+
+TEST(ModelIo, Old17DigitJobClassifierStreamsLoadBitIdentically) {
+  auto gen = workload::WorkloadGenerator::standard({}, 23);
+  std::vector<workload::GeneratedJob> jobs;
+  for (const auto& app : {"VASP", "NAMD", "GROMACS"}) {
+    auto batch = gen.generate_for(app, 25);
+    jobs.insert(jobs.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
+  }
+  const auto schema = supremm::AttributeSchema::full();
+  const auto train = workload::build_summary_dataset(
+      jobs, schema, supremm::label_by_application());
+  for (const auto algorithm :
+       {core::Algorithm::kRandomForest, core::Algorithm::kSvm,
+        core::Algorithm::kNaiveBayes}) {
+    core::JobClassifierConfig cfg;
+    cfg.algorithm = algorithm;
+    cfg.forest.num_trees = 15;
+    core::JobClassifier clf(cfg);
+    clf.train(train);
+    expect_17g_stream_loads_identically(
+        clf, train.X,
+        [](const core::JobClassifier& m, std::span<const double> x) {
+          const auto p = m.predict_features(x);
+          return std::vector<double>{static_cast<double>(p.label),
+                                     p.probability};
+        });
+  }
+}
+
+// Standardizer load boundary: means finite, scales finite and positive.
+// (Non-finite tokens already fail in the number codec.)
+TEST(ModelIo, StandardizerLoadRejectsBadMeansAndScales) {
+  const auto load = [](const std::string& text) {
+    std::istringstream in(text);
+    return ml::Standardizer::load(in);
+  };
+  EXPECT_NO_THROW(load("standardizer-v1\nmeans 2 0 1\nscales 2 1 2\n"));
+  for (const char* bad :
+       {"standardizer-v1\nmeans 2 0 nan\nscales 2 1 2\n",
+        "standardizer-v1\nmeans 2 0 1e400\nscales 2 1 2\n",
+        "standardizer-v1\nmeans 2 0 1\nscales 2 1 inf\n",
+        "standardizer-v1\nmeans 2 0 1\nscales 2 1 0\n",
+        "standardizer-v1\nmeans 2 0 1\nscales 2 1 -1\n"}) {
+    EXPECT_THROW(load(bad), InvalidArgument) << bad;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 #include "workload/dataset_helpers.hpp"
@@ -78,6 +82,71 @@ TEST(SummaryIo, RejectsBadNumericField) {
   text.insert(pos, "x");
   std::istringstream in(text);
   EXPECT_THROW(read_jobs_csv(in), std::exception);
+}
+
+/// The data row of a one-job CSV with its wall_seconds field replaced.
+std::string with_wall_seconds(const std::string& value) {
+  auto gen = workload::WorkloadGenerator::standard({}, 79);
+  const auto jobs = workload::summaries_of(gen.generate_native(1));
+  std::ostringstream out;
+  write_jobs_csv(out, jobs);
+  auto text = out.str();
+  auto begin = text.find('\n') + 1;
+  for (int commas = 0; commas < 7; ++begin) {
+    if (text[begin] == ',') ++commas;
+  }
+  const auto end = text.find(',', begin);
+  return text.replace(begin, end - begin, value);
+}
+
+// Numeric fields go through the shared number codec: whole tokens,
+// finite values only, each rejection an InvalidArgument naming the row.
+TEST(SummaryIo, RejectsNonFiniteAndPartialNumericFields) {
+  {
+    std::istringstream in(with_wall_seconds("3600.5"));
+    EXPECT_EQ(read_jobs_csv(in).front().wall_seconds, 3600.5);
+  }
+  for (const char* bad :
+       {"inf", "-inf", "nan", "1e400", "0.5x", "", "+1", " 1", "0x10"}) {
+    std::istringstream in(with_wall_seconds(bad));
+    try {
+      (void)read_jobs_csv(in);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("data row 1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Shortest round-trip text: every double reads back bit for bit, and
+// text written at 17 significant digits reads back to the same doubles.
+TEST(SummaryIo, DoublesRoundTripBitForBit) {
+  auto gen = workload::WorkloadGenerator::standard({}, 80);
+  auto jobs = workload::summaries_of(gen.generate_native(20));
+  jobs.front().wall_seconds = 0.1 + 0.2;
+  jobs.front().set_mean(MetricId::kCpuUser, 1e-300);
+  std::ostringstream out;
+  write_jobs_csv(out, jobs);
+  std::istringstream in(out.str());
+  const auto loaded = read_jobs_csv(in);
+  ASSERT_EQ(loaded.size(), jobs.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(bits(loaded[i].wall_seconds), bits(jobs[i].wall_seconds));
+    EXPECT_EQ(bits(loaded[i].start_epoch_seconds),
+              bits(jobs[i].start_epoch_seconds));
+    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+      EXPECT_EQ(bits(loaded[i].means[m]), bits(jobs[i].means[m]));
+      if (metric_catalog()[m].has_cov) {
+        EXPECT_EQ(bits(loaded[i].covs[m]), bits(jobs[i].covs[m]));
+      }
+    }
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", 0.1 + 0.2);
+  std::istringstream old(with_wall_seconds(buf));
+  EXPECT_EQ(bits(read_jobs_csv(old).front().wall_seconds), bits(0.1 + 0.2));
 }
 
 TEST(SummaryIo, EmptyDocumentRoundTrips) {
